@@ -472,7 +472,8 @@ type Simulator struct {
 	// costing O(active + messages) per round instead of O(n + m).
 	awake        []int32   // vertices eligible to step next round, ascending
 	stepList     []int32   // vertices stepped this round, ascending
-	deliverList  []int32   // vertices with queued incoming messages, ascending
+	wakeList     []int32   // sleepers woken this round, ascending once sorted
+	deliverList  []int32   // vertices with queued incoming messages, deduped, unordered
 	deliverStamp []int     // dedup stamp per vertex: delivery round it was listed for
 	pendingCount []int32   // messages queued to each deliverList vertex: the delivery balance weight
 	inboxRound   []int     // round whose messages inboxes[v] currently holds
@@ -567,6 +568,7 @@ func (s *Simulator) buildLayout() {
 	s.handlers = make([]Handler, n)
 	s.awake = make([]int32, 0, n)
 	s.stepList = make([]int32, 0, n)
+	s.wakeList = make([]int32, 0, n)
 	s.deliverList = make([]int32, 0, n)
 	s.deliverStamp = make([]int, n)
 	s.pendingCount = make([]int32, n)

@@ -25,8 +25,9 @@ import "sync"
 //
 // Handler panics (model violations are contracted to panic) are recovered on
 // the worker, parked per-chunk, and re-raised on the caller's goroutine
-// after the barrier — lowest chunk first, which (worklists being sorted)
-// matches the vertex the sequential path would have panicked on.
+// after the barrier — lowest chunk first, which (the step list being sorted)
+// matches the vertex the sequential path would have panicked on. Delivery
+// runs no handler code, so its unordered worklist cannot panic.
 type executor struct {
 	workers int
 	tasks   chan execTask

@@ -4,23 +4,28 @@ import "slices"
 
 // This file implements the sparse activation scheduler (DESIGN.md §3.10).
 //
-// The simulator tracks three worklists so each round costs O(active +
+// The simulator tracks four worklists so each round costs O(active +
 // messages) instead of O(n + m):
 //
 //   - awake:       vertices eligible to step next round (non-halted, not
 //                  sleeping), ascending by ID.
 //   - deliverList: vertices with at least one message queued to them by the
-//                  previous compute phase (pre-fault-filter), ascending.
-//   - stepList:    vertices actually stepped this round — the awake set plus
-//                  vertices woken this round by a delivered message or an
-//                  expired SleepUntil timer.
+//                  previous compute phase (pre-fault-filter), deduped, in the
+//                  order the senders' outboxes list them.
+//   - wakeList:    sleeping vertices woken this round by a delivered message
+//                  or an expired SleepUntil timer, ascending once sorted.
+//   - stepList:    vertices actually stepped this round — awake merged with
+//                  wakeList, ascending by ID.
 //
-// All three are rebuilt at round barriers from per-vertex state, never
+// All four are rebuilt at round barriers from per-vertex state, never
 // concurrently with handlers, and all live in buffers preallocated to
 // capacity n by buildLayout, so the steady-state round loop remains
-// allocation-free. Sorting keeps the parallel executor's chunk boundaries —
-// and therefore panic attribution and inbox contents — bit-identical to the
-// sequential path.
+// allocation-free. stepList order fixes the parallel executor's compute
+// chunk boundaries — and therefore panic attribution — so it matches the
+// sequential path bit for bit. deliverList needs no order: delivery is
+// receiver-local and each inbox is filled from the receiver's own ports, so
+// no output depends on which worker delivers which receiver. Only the wake
+// list, usually a small fraction of the step list, is sorted each round.
 
 // timerHeap is a binary min-heap of packed (wakeRound<<32 | vertexID)
 // entries. Packing into one int64 makes the heap comparison order by round
@@ -82,14 +87,15 @@ func (h *timerHeap) pop() int64 {
 //
 // The three sources are disjoint — awake vertices are not asleep, and a
 // message wake clears asleep before the timer drain runs — so no dedup pass
-// is needed; a single sort restores ascending ID order.
+// is needed. awake is already ascending; the wakes are sorted on their own
+// and merged into it.
 func (s *Simulator) assembleStepList(round int) {
-	s.stepList = append(s.stepList[:0], s.awake...)
+	wakes := s.wakeList[:0]
 	for _, id := range s.deliverList {
 		v := &s.verts[id]
 		if v.asleep && !v.halted && len(s.inboxes[id]) > 0 {
 			v.asleep, v.wakeAt = false, 0
-			s.stepList = append(s.stepList, id)
+			wakes = append(wakes, id)
 		}
 	}
 	for len(s.timers) > 0 {
@@ -101,10 +107,21 @@ func (s *Simulator) assembleStepList(round int) {
 		v := &s.verts[id]
 		if v.asleep && !v.halted && v.wakeAt == due {
 			v.asleep, v.wakeAt = false, 0
-			s.stepList = append(s.stepList, int32(id))
+			wakes = append(wakes, int32(id))
 		}
 	}
-	slices.Sort(s.stepList)
+	slices.Sort(wakes)
+	s.wakeList = wakes
+	step, awake := s.stepList[:0], s.awake
+	for len(awake) > 0 && len(wakes) > 0 {
+		if awake[0] < wakes[0] {
+			step, awake = append(step, awake[0]), awake[1:]
+		} else {
+			step, wakes = append(step, wakes[0]), wakes[1:]
+		}
+	}
+	step = append(step, awake...)
+	s.stepList = append(step, wakes...)
 }
 
 // mergeStepped is the sparse counterpart of mergeShards: it drains the
@@ -171,7 +188,6 @@ func (s *Simulator) mergeStepped(round int) {
 	}
 	s.awake = awake
 	s.pendingMsgs = phaseSends
-	slices.Sort(s.deliverList)
 }
 
 // armTimer pushes a sleeping vertex's SleepUntil wake onto the heap, unless
@@ -195,6 +211,7 @@ func (s *Simulator) armTimer(v *Vertex, id int) {
 // set, delivery list, and timer heap from the post-Init vertex state.
 func (s *Simulator) resetSchedule() {
 	s.stepList = s.stepList[:0]
+	s.wakeList = s.wakeList[:0]
 	s.deliverList = s.deliverList[:0]
 	s.timers = s.timers[:0]
 	awake := s.awake[:0]
@@ -227,5 +244,4 @@ func (s *Simulator) resetSchedule() {
 		}
 	}
 	s.awake = awake
-	slices.Sort(s.deliverList)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"expandergap/internal/congest"
@@ -155,5 +157,22 @@ func TestDegreeConditionFailsOnInjectedSparseCluster(t *testing.T) {
 	}
 	if !failed {
 		t.Error("degree condition should fail on a cycle with inflated phi")
+	}
+}
+
+// A forward budget whose 2T+3-round exchange exceeds Cfg.MaxRounds fails with
+// ErrMaxRounds as soon as the exchange is set up, naming both numbers, even
+// though every earlier phase fits the limit.
+func TestRunExchangeOverRoundLimitFailsFast(t *testing.T) {
+	g := graph.Grid(4, 4)
+	opts := Options{Eps: 0.4, Cfg: congest.Config{Seed: 1, MaxRounds: 1000}, ForwardRounds: 5000}
+	_, err := Run(g, opts, clusterSizeSolver)
+	if !errors.Is(err, congest.ErrMaxRounds) {
+		t.Fatalf("err = %v, want ErrMaxRounds", err)
+	}
+	for _, want := range []string{"10003", "1000-round"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }

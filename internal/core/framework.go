@@ -56,9 +56,12 @@ type Options struct {
 	// Cfg is the simulator configuration for all message-passing phases.
 	Cfg congest.Config
 	// ForwardRounds overrides the routing budget (0 = automatic: the
-	// theoretical WalkBudget for the decomposition's φ, capped at
-	// 8·n + 256 which empirically suffices because real clusters have far
-	// better conductance than the worst-case target).
+	// theoretical WalkBudget for the decomposition's φ, capped at the
+	// largest cluster's lazy-walk hitting-time bound 8·m·D + 64, because
+	// real clusters have far better conductance than the worst-case
+	// target; see forwardBudget). The exchange takes 2·ForwardRounds + 3
+	// rounds and fails with congest.ErrMaxRounds before its first round
+	// when that exceeds Cfg.MaxRounds.
 	ForwardRounds int
 	// SkipDiameterCheck disables the §2.3 self-check (it is cheap but
 	// dominates rounds on large low-φ instances; experiments that measure

@@ -9,10 +9,20 @@
 // is the O(log n) slowdown the lemma's Chernoff argument budgets for.
 //
 // The reverse direction implements the paper's "reversing the routing
-// procedure" (§2.2 and §2.3): every vertex logs each (token, port, round)
-// arrival during the forward phase, and responses retrace the walks
-// backwards in reversed time order. Because at most one token crossed each
-// (edge, direction, round) forward, the reverse schedule is collision-free.
+// procedure" (§2.2 and §2.3) without any per-token lookup. A queued token
+// carries the (port, phase round) of the arrival that brought it, and every
+// forward send pushes a departure — its round, its port and that arrival —
+// onto the sending vertex's stack. At most one token crosses any (edge,
+// direction, round), so (round, port) names exactly one departure; a
+// response leaving the leader at 2T+2-a for an arrival at round a reaches
+// the previous vertex at round 2T+2-d on the port its departure at d used,
+// and so on back to the origin. Reverse arrivals therefore come in
+// decreasing departure round: departures above the current one belong to
+// tokens that never came back and are dropped from the top, and the match is
+// a scan over at most deg(v) entries that share the round. The undone
+// departure's arrival says where the response goes next (port -1: it is
+// home). The reverse schedule is collision-free for the same reason, and
+// adds no words to any message.
 //
 // A deterministic tree strategy (tokens climb a BFS tree toward the leader,
 // FIFO per edge) stands in for the paper's Lemma 2.5 deterministic routing;
@@ -22,10 +32,13 @@
 // origins detect the failure locally, which is exactly the failure-detection
 // behavior §2.3 builds on.
 //
-// An exchange has a fixed 2T+2-round schedule (T = Plan.ForwardRounds), and
-// the package drives the simulator through the Execution Step API so the
-// schedule maps onto observer phases when a congest.Observer is attached:
-// round 1 is "setup" (the cluster-ID broadcast that discovers same-cluster
-// ports), rounds 2..T+1 are "forward" (walk steps toward the leader), and
-// the remaining rounds are "reverse" (leader responses retracing the walks).
+// An exchange has a fixed schedule of 2T+3 simulator rounds (T =
+// Plan.ForwardRounds): one setup round, then phase rounds 1..2T+2. It fails
+// with congest.ErrMaxRounds before its first round when that exceeds the
+// simulator's round limit. The package drives the simulator through the
+// Execution Step API so the schedule maps onto observer phases when a
+// congest.Observer is attached: round 1 is "setup" (the cluster-ID broadcast
+// that discovers same-cluster ports), rounds 2..T+1 are "forward" (walk steps
+// toward the leader), and the remaining rounds are "reverse" (leader
+// responses retracing the walks).
 package routing

@@ -1,0 +1,226 @@
+package routing
+
+import (
+	"hash/fnv"
+	"slices"
+	"testing"
+
+	"expandergap/internal/congest"
+	"expandergap/internal/graph"
+	"expandergap/internal/primitives"
+)
+
+// componentPlan partitions g by part(v), splits each part into its connected
+// components, and makes every component a cluster led by its smallest vertex.
+// Parent holds BFS parents toward that leader inside the cluster, so the plan
+// serves both strategies.
+func componentPlan(g *graph.Graph, part func(v int) int, budget int, strat Strategy) Plan {
+	n := g.N()
+	cluster := make(primitives.ClusterAssignment, n)
+	leader := make([]int, n)
+	parent := make([]int, n)
+	for v := range cluster {
+		cluster[v] = -1
+	}
+	next := 0
+	for root := 0; root < n; root++ {
+		if cluster[root] >= 0 {
+			continue
+		}
+		cluster[root], leader[root], parent[root] = next, root, root
+		queue := []int{root}
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, w := range g.Neighbors(u) {
+				if cluster[w] < 0 && part(w) == part(root) {
+					cluster[w], leader[w], parent[w] = next, root, u
+					queue = append(queue, w)
+				}
+			}
+		}
+		next++
+	}
+	return Plan{Cluster: cluster, Leader: leader, Parent: parent, ForwardRounds: budget, Strategy: strat}
+}
+
+// tokensPer gives every vertex k tokens with distinct payloads.
+func tokensPer(n, k int) [][]Token {
+	tokens := make([][]Token, n)
+	for v := range tokens {
+		for j := 0; j < k; j++ {
+			tokens[v] = append(tokens[v], Token{A: int64(8*v + j), B: int64(7*j - v)})
+		}
+	}
+	return tokens
+}
+
+// respondMix is a responder whose answer depends on the leader and on both
+// payload words, so a response routed to the wrong origin or carrying another
+// token's payload changes the hash.
+func respondMix(leader int, t Token) (int64, int64) {
+	return 3*t.A + int64(leader), t.B ^ int64(leader+1)
+}
+
+// respondIndexed is a batch responder whose answers also encode each token's
+// position in the leader's inbox, pinning the absorption order.
+func respondIndexed(leader int, inbox []Token) [][2]int64 {
+	out := make([][2]int64, len(inbox))
+	for i, t := range inbox {
+		a, b := respondMix(leader, t)
+		out[i] = [2]int64{a, b + 256*int64(i)}
+	}
+	return out
+}
+
+// exchangeHash folds every Responses entry, the delivery counts, the leader
+// loads (by ascending leader) and the metrics into one FNV-64a digest.
+func exchangeHash(res *ExchangeResult, m congest.Metrics) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(x int64) {
+		for i := range buf {
+			buf[i] = byte(x >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	for _, resp := range res.Responses {
+		word(int64(len(resp)))
+		for _, t := range resp {
+			word(int64(t.Origin))
+			word(int64(t.Seq))
+			word(t.A)
+			word(t.B)
+		}
+	}
+	word(int64(res.Delivered))
+	word(int64(res.Undelivered))
+	leaders := make([]int, 0, len(res.LeaderLoad))
+	for l := range res.LeaderLoad {
+		leaders = append(leaders, l)
+	}
+	slices.Sort(leaders)
+	for _, l := range leaders {
+		word(int64(l))
+		word(int64(res.LeaderLoad[l]))
+	}
+	word(int64(m.Rounds))
+	word(m.Messages)
+	word(m.Words)
+	word(int64(m.MaxWordsPerMsg))
+	return h.Sum64()
+}
+
+// TestExchangeGolden pins Exchange and ExchangeBatch byte for byte: the
+// responses, delivery counts, leader loads and metrics of fixed-seed runs on
+// a grid and a G(n,p) graph, both strategies, with and without message loss.
+// Every case must hash the same under the sequential and the 4-worker
+// executor. The constants were captured from the visit-log router that
+// predates the departure stacks, so they prove the reverse path retraces the
+// same walks.
+func TestExchangeGolden(t *testing.T) {
+	grid := graph.Grid(8, 8)
+	gnp := graph.ErdosRenyiStream(120, 5.0/120, 21, 0)
+	gridPart := func(v int) int { return (v/8)/4*2 + (v%8)/4 } // four 4x4 quadrants
+	gnpPart := func(v int) int { return v % 3 }
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		plan  Plan
+		batch bool
+		fault float64
+		seed  int64
+		want  uint64
+	}{
+		{"grid/walk", grid, componentPlan(grid, gridPart, 120, RandomWalk), false, 0, 3, 15931300428657815665},
+		{"grid/walk/faults", grid, componentPlan(grid, gridPart, 120, RandomWalk), false, 0.2, 3, 13641987073830545343},
+		{"grid/tree", grid, componentPlan(grid, gridPart, 40, TreeParent), false, 0, 4, 15979261807726171190},
+		{"grid/tree/faults", grid, componentPlan(grid, gridPart, 40, TreeParent), false, 0.2, 4, 15516131123216973698},
+		{"gnp/walk", gnp, componentPlan(gnp, gnpPart, 200, RandomWalk), true, 0, 5, 16637995692450732861},
+		{"gnp/walk/faults", gnp, componentPlan(gnp, gnpPart, 200, RandomWalk), true, 0.2, 5, 10978114352447118990},
+		{"gnp/tree", gnp, componentPlan(gnp, gnpPart, 60, TreeParent), true, 0, 6, 7517382903091570142},
+		{"gnp/tree/faults", gnp, componentPlan(gnp, gnpPart, 60, TreeParent), true, 0.2, 6, 6713916630655434297},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{0, 4} {
+			cfg := congest.Config{Seed: tc.seed, FaultRate: tc.fault, Workers: workers}
+			tokens := tokensPer(tc.g.N(), 3)
+			var (
+				res *ExchangeResult
+				m   congest.Metrics
+				err error
+			)
+			if tc.batch {
+				res, m, err = ExchangeBatch(tc.g, cfg, tc.plan, tokens, respondIndexed)
+			} else {
+				res, m, err = Exchange(tc.g, cfg, tc.plan, tokens, respondMix)
+			}
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			if got := exchangeHash(res, m); got != tc.want {
+				t.Errorf("%s workers=%d: hash %d, want %d (delivered %d, undelivered %d, %+v)",
+					tc.name, workers, got, tc.want, res.Delivered, res.Undelivered, m)
+			}
+		}
+	}
+}
+
+// TestExchangeRevisitsRetrace runs long lazy walks on a cycle and a path, where
+// tokens pass through the same vertices many times before reaching the
+// leader, and checks that every response comes back to its own origin with
+// the responder's answer for that exact token.
+func TestExchangeRevisitsRetrace(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		want uint64
+	}{
+		{"cycle16", graph.Cycle(16), 14300588540867444957},
+		{"path12", graph.Path(12), 8081633661033528529},
+	}
+	const k = 4
+	for _, tc := range cases {
+		n := tc.g.N()
+		plan := wholeGraphPlan(tc.g, 0, 3000, RandomWalk)
+		for _, workers := range []int{0, 4} {
+			tokens := tokensPer(n, k)
+			res, m, err := Exchange(tc.g, congest.Config{Seed: 13, Workers: workers}, plan, tokens, respondMix)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			if res.Undelivered != 0 {
+				t.Fatalf("%s workers=%d: %d tokens undelivered", tc.name, workers, res.Undelivered)
+			}
+			for v := 0; v < n; v++ {
+				if len(res.Responses[v]) != k {
+					t.Fatalf("%s workers=%d: vertex %d got %d responses, want %d",
+						tc.name, workers, v, len(res.Responses[v]), k)
+				}
+				for j, r := range res.Responses[v] {
+					wantA, wantB := respondMix(0, tokens[v][j])
+					if r.Origin != v || r.Seq != j || r.A != wantA || r.B != wantB {
+						t.Errorf("%s workers=%d: vertex %d token %d came back as %+v, want A=%d B=%d",
+							tc.name, workers, v, j, r, wantA, wantB)
+					}
+				}
+			}
+			// Every hop is one forward and one reverse message; the setup
+			// broadcast sends one per edge direction. Over twice as many hops
+			// as the tokens' summed distances to the leader means the walks
+			// revisited vertices, which is the case this test is for.
+			hops := (m.Messages - int64(2*tc.g.M())) / 2
+			dists, _ := tc.g.BFS(0)
+			dist := int64(0)
+			for _, d := range dists {
+				dist += int64(k * d)
+			}
+			if hops <= 2*dist {
+				t.Errorf("%s workers=%d: %d hops for summed distance %d; walks too direct to exercise revisits",
+					tc.name, workers, hops, dist)
+			}
+			if got := exchangeHash(res, m); got != tc.want {
+				t.Errorf("%s workers=%d: hash %d, want %d", tc.name, workers, got, tc.want)
+			}
+		}
+	}
+}

@@ -40,7 +40,7 @@ type Plan struct {
 	// (required for TreeParent; ignored for RandomWalk).
 	Parent []int
 	// ForwardRounds is the forward-phase budget T. The full exchange takes
-	// 2T+2 rounds.
+	// 2T+3 simulator rounds: setup plus 2T+2 phase rounds.
 	ForwardRounds int
 	// Strategy selects the forwarding rule.
 	Strategy Strategy
@@ -81,19 +81,24 @@ const (
 	kindReverse = int64(2)
 )
 
-type visit struct {
-	port  int
-	round int
+// arrival is where a token entered a vertex in the forward phase: the port
+// and the phase round. A vertex's own tokens carry port -1.
+type arrival struct {
+	port, round int32
 }
 
-// visitEntry is one hop in a vertex's visit log: a token's arrival (port,
-// phase round) plus the index of the same token's previous visit here. The
-// log is append-only and shared by all tokens passing through the vertex;
-// per token only a head index is kept, so recording a hop costs one slice
-// append and one map store of an int32 — no per-token slice ever grows.
-type visitEntry struct {
-	port, round int32
-	prev        int32 // index of the token's previous visit, -1 if none
+// held is a token queued at a vertex, with the arrival that brought it.
+type held struct {
+	tok  Token
+	from arrival
+}
+
+// departure is one forward send from a vertex: the phase round and port the
+// token left on, plus the arrival that brought it. A vertex's departures form
+// a stack in ascending round order; the reverse phase pops them (see doc.go).
+type departure struct {
+	round, port int32
+	from        arrival
 }
 
 type pendingSend struct {
@@ -106,20 +111,17 @@ type routeHandler struct {
 	plan         *Plan
 	isLeader     bool
 	samePorts    []int
-	queue        []Token // tokens currently held (forward phase)
-	portStamp    []int   // portStamp[p] == pr marks port p used this round
-	visitLog     []visitEntry
-	visitHead    map[[2]int]int32 // latest visitLog index per token key
-	absorbed     []Token          // leader only
-	absorbLog    map[[2]int]visit // leader only
+	queue        []held      // tokens currently held (forward phase)
+	portStamp    []int       // portStamp[p] == pr marks port p used this round
+	departures   []departure // forward sends, ascending by round
+	absorbed     []Token     // leader only
+	arrivals     []arrival   // leader only, parallel to absorbed
 	reverse      []pendingSend
 	responses    []Token
 	respond      func(leader int, t Token) (int64, int64)
 	respondBatch func(leader int, inbox []Token) [][2]int64
 	total        int // 2T+2
 }
-
-func key(t Token) [2]int { return [2]int{t.Origin, t.Seq} }
 
 func (h *routeHandler) Init(v *congest.Vertex) {
 	v.BroadcastWords(int64(h.plan.Cluster[v.ID()]))
@@ -145,21 +147,15 @@ func (h *routeHandler) Round(v *congest.Vertex, round int, recv []congest.Incomi
 		tok := Token{Origin: int(in.Msg[1]), Seq: int(in.Msg[2]), A: in.Msg[3], B: in.Msg[4]}
 		switch in.Msg[0] {
 		case kindForward:
+			from := arrival{port: int32(in.Port), round: int32(pr)}
 			if h.isLeader {
 				h.absorbed = append(h.absorbed, tok)
-				h.absorbLog[key(tok)] = visit{port: in.Port, round: pr}
+				h.arrivals = append(h.arrivals, from)
 			} else {
-				k := key(tok)
-				prev, seen := h.visitHead[k]
-				if !seen {
-					prev = -1
-				}
-				h.visitHead[k] = int32(len(h.visitLog))
-				h.visitLog = append(h.visitLog, visitEntry{port: int32(in.Port), round: int32(pr), prev: prev})
-				h.queue = append(h.queue, tok)
+				h.queue = append(h.queue, held{tok: tok, from: from})
 			}
 		case kindReverse:
-			h.handleReverseArrival(v, tok)
+			h.handleReverseArrival(tok, in.Port, pr)
 		}
 	}
 	switch {
@@ -214,20 +210,20 @@ func (h *routeHandler) forwardStep(v *congest.Vertex, pr int) {
 	// Compact waiting tokens in place: the write index never overtakes the
 	// read index, so the queue backing array is reused round after round.
 	stay := h.queue[:0]
-	for _, tok := range h.queue {
+	for _, q := range h.queue {
 		var port int
 		switch h.plan.Strategy {
 		case RandomWalk:
 			// Lazy step: stay with probability 1/2.
 			if v.Rand().Intn(2) == 0 {
-				stay = append(stay, tok)
+				stay = append(stay, q)
 				continue
 			}
 			port = h.samePorts[v.Rand().Intn(len(h.samePorts))]
 		case TreeParent:
 			port = v.PortOf(h.plan.Parent[v.ID()])
 			if port < 0 {
-				stay = append(stay, tok)
+				stay = append(stay, q)
 				continue
 			}
 		default:
@@ -235,11 +231,13 @@ func (h *routeHandler) forwardStep(v *congest.Vertex, pr int) {
 		}
 		if h.portStamp[port] == pr {
 			// Edge busy this round: wait (counts as a lazy step).
-			stay = append(stay, tok)
+			stay = append(stay, q)
 			continue
 		}
 		h.portStamp[port] = pr
+		tok := q.tok
 		v.SendWords(port, kindForward, int64(tok.Origin), int64(tok.Seq), tok.A, tok.B)
+		h.departures = append(h.departures, departure{round: int32(pr), port: int32(port), from: q.from})
 	}
 	h.queue = stay
 }
@@ -248,7 +246,6 @@ func (h *routeHandler) leaderRespond(v *congest.Vertex) {
 	if !h.isLeader {
 		return
 	}
-	C := h.total
 	var batch [][2]int64
 	if h.respondBatch != nil {
 		batch = h.respondBatch(v.ID(), h.absorbed)
@@ -265,27 +262,47 @@ func (h *routeHandler) leaderRespond(v *congest.Vertex) {
 		case h.respond != nil:
 			ra, rb = h.respond(v.ID(), tok)
 		}
-		resp := Token{Origin: tok.Origin, Seq: tok.Seq, A: ra, B: rb}
-		if tok.Origin == v.ID() {
-			h.responses = append(h.responses, resp)
-			continue
-		}
-		arr := h.absorbLog[key(tok)]
-		h.reverse = append(h.reverse, pendingSend{round: C - arr.round, port: arr.port, tok: resp})
+		h.sendBack(Token{Origin: tok.Origin, Seq: tok.Seq, A: ra, B: rb}, h.arrivals[i])
 	}
 }
 
-func (h *routeHandler) handleReverseArrival(v *congest.Vertex, tok Token) {
-	k := key(tok)
-	head, seen := h.visitHead[k]
-	if !seen || head < 0 {
-		// No earlier visit: this vertex is the token's origin.
+// sendBack routes tok one hop back along the arrival that brought it here:
+// an arrival at phase round a is answered at round 2T+2-a on the same port,
+// which reaches the sender in the round mirroring its departure. A token
+// that started here (port -1) has come home.
+func (h *routeHandler) sendBack(tok Token, from arrival) {
+	if from.port < 0 {
 		h.responses = append(h.responses, tok)
 		return
 	}
-	last := h.visitLog[head]
-	h.visitHead[k] = last.prev
-	h.reverse = append(h.reverse, pendingSend{round: h.total - int(last.round), port: int(last.port), tok: tok})
+	h.reverse = append(h.reverse, pendingSend{round: h.total - int(from.round), port: int(from.port), tok: tok})
+}
+
+// handleReverseArrival pops the departure a reverse token arriving on port at
+// phase round pr undoes: the forward send at round 2T+2-pr on that port.
+// Reverse arrivals come in decreasing departure round, so departures above
+// that round belong to tokens that never came back and are discarded; at
+// most one departure per port shares a round, so the match scans at most
+// deg(v) entries.
+func (h *routeHandler) handleReverseArrival(tok Token, port, pr int) {
+	d := int32(h.total - pr)
+	s := h.departures
+	top := len(s)
+	for top > 0 && s[top-1].round > d {
+		top--
+	}
+	i := top - 1
+	for i >= 0 && s[i].round == d && s[i].port != int32(port) {
+		i--
+	}
+	if i < 0 || s[i].round != d {
+		panic(fmt.Sprintf("routing: reverse token (%d,%d) on port %d at phase round %d matches no departure",
+			tok.Origin, tok.Seq, port, pr))
+	}
+	from := s[i].from
+	s[i] = s[top-1]
+	h.departures = s[:top-1]
+	h.sendBack(tok, from)
 }
 
 func (h *routeHandler) flushReverse(v *congest.Vertex, pr int) {
@@ -372,10 +389,16 @@ func exchange(g *graph.Graph, cfg congest.Config, plan Plan, tokens [][]Token, r
 	}
 	total := 2*plan.ForwardRounds + 2
 	sim := congest.NewSimulator(g, cfg)
+	// The schedule is fixed: setup plus 2T+2 phase rounds. Refuse up front
+	// rather than step until the simulator's round limit.
+	if need, limit := total+1, sim.Config().MaxRounds; need > limit {
+		return nil, congest.Metrics{}, fmt.Errorf("routing: exchange needs %d rounds for forward budget %d, over the %d-round limit: %w",
+			need, plan.ForwardRounds, limit, congest.ErrMaxRounds)
+	}
 	e := sim.Start(func(v *congest.Vertex) congest.Handler {
 		// All per-walk state is sized here, at setup: the port stamps, the
-		// token queue (seeded with the vertex's own tokens), and the visit
-		// log that records hop history for the reverse phase. The steady
+		// token queue (seeded with the vertex's own tokens), and the
+		// departure stack that the reverse phase retraces. The steady
 		// per-round path then only appends within amortized-grown buffers.
 		h := &routeHandler{
 			plan:         &plan,
@@ -386,23 +409,24 @@ func exchange(g *graph.Graph, cfg congest.Config, plan Plan, tokens [][]Token, r
 			total:        total,
 		}
 		own := tokens[v.ID()]
+		home := arrival{port: -1}
 		if h.isLeader {
-			h.absorbLog = make(map[[2]int]visit, len(own))
+			h.absorbed = make([]Token, 0, len(own))
+			h.arrivals = make([]arrival, 0, len(own))
 			for i, tok := range own {
 				tok.Origin = v.ID()
 				tok.Seq = i
 				// Leader's own tokens are absorbed locally before round 1.
 				h.absorbed = append(h.absorbed, tok)
-				h.absorbLog[key(tok)] = visit{port: -1, round: 0}
+				h.arrivals = append(h.arrivals, home)
 			}
 		} else {
-			h.visitHead = make(map[[2]int]int32, 2*len(own)+2)
-			h.visitLog = make([]visitEntry, 0, 2*len(own)+2)
-			h.queue = make([]Token, 0, len(own)+2)
+			h.departures = make([]departure, 0, 2*len(own)+2)
+			h.queue = make([]held, 0, len(own)+2)
 			for i, tok := range own {
 				tok.Origin = v.ID()
 				tok.Seq = i
-				h.queue = append(h.queue, tok)
+				h.queue = append(h.queue, held{tok: tok, from: home})
 			}
 		}
 		return h

@@ -1,6 +1,9 @@
 package routing
 
 import (
+	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"expandergap/internal/congest"
@@ -273,4 +276,75 @@ func TestLeaderOwnTokensDeliveredLocally(t *testing.T) {
 	if len(res.Responses[0]) != 1 || res.Responses[0][0].A != 84 {
 		t.Errorf("leader self-response = %v", res.Responses[0])
 	}
+}
+
+// An exchange always takes 2T+3 rounds, so a budget whose schedule cannot fit
+// the simulator's round limit fails before the first round instead of
+// stepping until the limit. A schedule that fits exactly still runs.
+func TestExchangeFailsFastOverRoundLimit(t *testing.T) {
+	g := graph.Grid(4, 4)
+	plan := wholeGraphPlan(g, 0, 100, RandomWalk)
+	called := false
+	respond := func(leader int, tok Token) (int64, int64) {
+		called = true
+		return tok.A, tok.B
+	}
+	_, m, err := Exchange(g, congest.Config{Seed: 1, MaxRounds: 202}, plan, oneTokenEach(g), respond)
+	if !errors.Is(err, congest.ErrMaxRounds) {
+		t.Fatalf("err = %v, want ErrMaxRounds", err)
+	}
+	for _, want := range []string{"203", "202"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if m.Rounds != 0 || m.Messages != 0 || called {
+		t.Errorf("stepped before failing: %+v, responder called %v", m, called)
+	}
+	_, m, err = Exchange(g, congest.Config{Seed: 1, MaxRounds: 203}, plan, oneTokenEach(g), respond)
+	if err != nil {
+		t.Fatalf("exact fit refused: %v", err)
+	}
+	if m.Rounds != 203 || !called {
+		t.Errorf("exact fit: rounds %d, responder called %v", m.Rounds, called)
+	}
+}
+
+// The departure stack pops the one departure each reverse arrival undoes,
+// discards departures above it (their tokens never came back), and panics on
+// a reverse arrival that matches no departure.
+func TestDepartureStackRetrace(t *testing.T) {
+	const total = 20 // T = 9
+	h := &routeHandler{total: total, departures: []departure{
+		{round: 3, port: 0, from: arrival{port: 5, round: 2}},
+		{round: 3, port: 1, from: arrival{port: -1}},
+		{round: 5, port: 0, from: arrival{port: 6, round: 4}},
+		{round: 7, port: 1, from: arrival{port: 7, round: 6}},
+		{round: 7, port: 0, from: arrival{port: 8, round: 5}},
+	}}
+	// A departure at round d returns at phase round total-d on its port.
+	h.handleReverseArrival(Token{Seq: 1}, 0, total-7)
+	h.handleReverseArrival(Token{Seq: 2}, 1, total-3) // drops (7,1) and (5,0)
+	h.handleReverseArrival(Token{Seq: 3}, 0, total-3)
+	want := []pendingSend{
+		{round: total - 5, port: 8, tok: Token{Seq: 1}},
+		{round: total - 2, port: 5, tok: Token{Seq: 3}},
+	}
+	if !slices.Equal(h.reverse, want) {
+		t.Errorf("reverse sends %+v, want %+v", h.reverse, want)
+	}
+	if len(h.responses) != 1 || h.responses[0].Seq != 2 {
+		t.Errorf("responses %+v, want the token that started here", h.responses)
+	}
+	if len(h.departures) != 0 {
+		t.Errorf("%d departures left, want 0", len(h.departures))
+	}
+
+	h.departures = []departure{{round: 7, port: 0}}
+	defer func() {
+		if recover() == nil {
+			t.Error("a reverse arrival on a port no departure used did not panic")
+		}
+	}()
+	h.handleReverseArrival(Token{}, 1, total-7)
 }

@@ -155,7 +155,8 @@ type VertexAnswer struct {
 }
 
 // project extracts the answers for the requested vertices, ascending by
-// vertex ID with duplicates removed.
+// vertex ID with duplicates removed. mis membership is a binary search:
+// maxis.Approximate lists Set in ascending order.
 func (r *Result) project(vertices []int) []VertexAnswer {
 	sel := append([]int(nil), vertices...)
 	sort.Ints(sel)
@@ -169,11 +170,8 @@ func (r *Result) project(vertices []int) []VertexAnswer {
 		case "matching":
 			val = int64(r.Mate[v])
 		case "mis":
-			for _, m := range r.Set {
-				if m == v {
-					val = 1
-					break
-				}
+			if j := sort.SearchInts(r.Set, v); j < len(r.Set) && r.Set[j] == v {
+				val = 1
 			}
 		case "clustering":
 			val = int64(r.Labels[v])
@@ -300,16 +298,18 @@ func treeParents(snap *Snapshot) ([]int, error) {
 	for v := range parent {
 		parent[v] = -1
 	}
+	// One BFS per cluster, restricted to it. Clusters are disjoint, so one
+	// seen bitmap and one queue buffer serve them all.
+	inCluster := snap.Dec.Assignment
+	seen := make([]bool, n)
+	queue := make([]int, 0, n)
 	for _, members := range snap.Dec.Clusters {
 		root := snap.Leader[members[0]]
-		// BFS restricted to the cluster.
-		inCluster := snap.Dec.Assignment
 		cid := inCluster[root]
-		queue := []int{root}
-		seen := map[int]bool{root: true}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		queue = append(queue[:0], root)
+		seen[root] = true
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
 			snap.G.ForEachNeighbor(u, func(w, _ int) {
 				if inCluster[w] == cid && !seen[w] {
 					seen[w] = true
@@ -326,6 +326,13 @@ func treeParents(snap *Snapshot) ([]int, error) {
 func perClusterStats(snap *Snapshot, res *Result) []ClusterStat {
 	stats := make([]ClusterStat, len(snap.Dec.Clusters))
 	assign := snap.Dec.Assignment
+	var setCount []int // mis: set members per cluster, in one pass over Set
+	if res.Family == "mis" {
+		setCount = make([]int, len(stats))
+		for _, v := range res.Set {
+			setCount[assign[v]]++
+		}
+	}
 	for id, members := range snap.Dec.Clusters {
 		st := ClusterStat{ID: id, Leader: snap.Leader[members[0]], Size: len(members)}
 		switch res.Family {
@@ -336,11 +343,7 @@ func perClusterStats(snap *Snapshot, res *Result) []ClusterStat {
 				}
 			}
 		case "mis":
-			for _, v := range res.Set {
-				if assign[v] == id {
-					st.Stat++
-				}
-			}
+			st.Stat = setCount[id]
 		case "clustering":
 			labels := map[int]bool{}
 			for _, v := range members {
