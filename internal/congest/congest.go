@@ -138,15 +138,15 @@ type msgArena struct {
 // may only use the exposed methods; the global graph is not reachable from
 // it, preserving the locality of the model.
 //
-// Vertices live in one contiguous value slice; their ports, reverse ports,
-// and outbox slots are sub-slices of shared flat arrays (the CSR layout of
+// Vertices live in one contiguous value slice; their ports, outbox slots,
+// and sent lists are sub-slices of shared flat arrays (the CSR layout of
 // DESIGN.md §3.8).
 type Vertex struct {
 	sim       *Simulator
 	id        int
 	ports     []int32   // neighbor IDs by port, ascending (view into flat array)
-	rports    []int32   // rports[p] is the port on neighbor ports[p] leading back here
 	outbox    []Message // view into the shared flat outbox array
+	sent      []int32   // ports sent on since the last barrier, in send order (capacity = degree)
 	halted    bool
 	asleep    bool // quiescent: skipped by the scheduler until woken
 	wakeAt    int  // absolute round of the pending SleepUntil timer; 0 = none
@@ -262,6 +262,7 @@ func (v *Vertex) Send(port int, msg Message) {
 		msg = Message{}
 	}
 	v.outbox[port] = msg
+	v.sent = append(v.sent, int32(port))
 	v.local.messages++
 	v.local.words += int64(len(msg))
 }
@@ -452,19 +453,23 @@ type Simulator struct {
 	curRound int
 
 	// CSR layout, built once per Simulator and shared by all executions:
-	// vertex v's ports/rports/outbox/inbox views are the flat-array ranges
-	// [off[v], off[v+1]).
+	// vertex v's ports, reverse ports, outbox slots, sent and pending lists,
+	// and inbox are the flat-array ranges [off[v], off[v+1]). Flat index
+	// off[v]+p names v's port p; rportFlat[off[v]+p] is the port on neighbor
+	// portsFlat[off[v]+p] that leads back to v.
 	off       []int32
 	portsFlat []int32
 	rportFlat []int32
 
 	// Reusable per-run state.
-	verts      []Vertex
-	outboxFlat []Message
-	inboxFlat  []Incoming
-	inboxes    [][]Incoming
-	handlers   []Handler
-	active     bool
+	verts       []Vertex
+	outboxFlat  []Message
+	sentFlat    []int32
+	pendingFlat []int32 // flat outbox indices of the messages queued to v; v's list is pendingCount[v] long
+	inboxFlat   []Incoming
+	inboxes     [][]Incoming
+	handlers    []Handler
+	active      bool
 
 	// Sparse activation scheduler (sched.go, DESIGN.md §3.10). All worklists
 	// are preallocated to capacity n by buildLayout and rebuilt at round
@@ -474,8 +479,7 @@ type Simulator struct {
 	stepList     []int32   // vertices stepped this round, ascending
 	wakeList     []int32   // sleepers woken this round, ascending once sorted
 	deliverList  []int32   // vertices with queued incoming messages, deduped, unordered
-	deliverStamp []int     // dedup stamp per vertex: delivery round it was listed for
-	pendingCount []int32   // messages queued to each deliverList vertex: the delivery balance weight
+	pendingCount []int32   // length of each vertex's pending list (0 unless listed): the delivery balance weight
 	inboxRound   []int     // round whose messages inboxes[v] currently holds
 	timers       timerHeap // pending SleepUntil wakes, lazily deleted
 	timerStamp   []int     // latest wake round pushed per vertex, to dedup re-sleeps
@@ -562,6 +566,8 @@ func (s *Simulator) buildLayout() {
 		})
 	}
 	s.outboxFlat = make([]Message, total)
+	s.sentFlat = make([]int32, total)
+	s.pendingFlat = make([]int32, total)
 	s.inboxFlat = make([]Incoming, total)
 	s.verts = make([]Vertex, n)
 	s.inboxes = make([][]Incoming, n)
@@ -570,7 +576,6 @@ func (s *Simulator) buildLayout() {
 	s.stepList = make([]int32, 0, n)
 	s.wakeList = make([]int32, 0, n)
 	s.deliverList = make([]int32, 0, n)
-	s.deliverStamp = make([]int, n)
 	s.pendingCount = make([]int32, n)
 	s.inboxRound = make([]int, n)
 	s.timers = make(timerHeap, 0, n)
@@ -581,8 +586,8 @@ func (s *Simulator) buildLayout() {
 			sim:    s,
 			id:     v,
 			ports:  s.portsFlat[lo:hi:hi],
-			rports: s.rportFlat[lo:hi:hi],
 			outbox: s.outboxFlat[lo:hi:hi],
+			sent:   s.sentFlat[lo:lo:hi],
 		}
 		s.inboxes[v] = s.inboxFlat[lo:lo:hi]
 	}
@@ -622,35 +627,40 @@ func (s *Simulator) mergeShards() {
 }
 
 // deliver moves queued messages into the inboxes of the deliverList
-// receivers at positions lo..hi-1 for the given round. The scan is
-// receiver-centric: each receiver walks its own ports in ascending neighbor
-// order and claims the matching outbox slot on the sender side, so (a) inbox
-// order is canonically ascending by sender ID regardless of which worker
-// delivers, and (b) no two workers ever touch the same outbox slot (each
-// slot has exactly one receiver, and each receiver appears once in the
-// deduped deliverList). Every queued message is drained here — deliverList
-// covers all receivers of the previous phase's sends by construction — which
-// is what keeps pendingMsgs exact at barriers. inboxRound is stamped even
+// receivers at positions lo..hi-1 for the given round. Each receiver walks
+// only its own pending list — the flat outbox indices of its queued
+// messages, recorded by mergeStepped (or resetSchedule) — claims each
+// message from the sender's outbox slot, and recovers its own port from the
+// reverse-port array, so delivery costs O(messages), not O(degree). The
+// pending list is ascending by sender ID (senders are queued in ascending
+// ID order), so (a) inbox order is canonically ascending by sender ID
+// regardless of which worker delivers, and (b) no two workers ever touch
+// the same outbox slot (each slot has exactly one receiver, and each
+// receiver appears once in the deduped deliverList). Every queued message
+// is drained here — deliverList covers all receivers of the previous
+// phase's sends by construction — which is what keeps pendingMsgs exact at
+// barriers, and every pending count is zeroed, which is what lets the next
+// barrier list a receiver on its first message. inboxRound is stamped even
 // when every message to a receiver is dropped by fault injection, so stale
 // inbox contents from an earlier round can never be re-observed.
 func (s *Simulator) deliver(round, lo, hi int) {
+	fault := s.cfg.FaultRate
 	for i := lo; i < hi; i++ {
 		id := int(s.deliverList[i])
 		v := &s.verts[id]
 		inbox := s.inboxes[id][:0]
-		for p, from := range v.ports {
-			fv := &s.verts[from]
-			slot := v.rports[p]
-			msg := fv.outbox[slot]
-			if msg == nil {
-				continue
-			}
-			fv.outbox[slot] = nil
-			if s.cfg.FaultRate > 0 && faultCoin(s.cfg.Seed, round, int(from), id) < s.cfg.FaultRate {
+		base := s.off[id]
+		for _, e := range s.pendingFlat[base : base+s.pendingCount[id]] {
+			msg := s.outboxFlat[e]
+			s.outboxFlat[e] = nil
+			p := s.rportFlat[e]
+			from := v.ports[p]
+			if fault > 0 && faultCoin(s.cfg.Seed, round, int(from), id) < fault {
 				continue // dropped in transit (still counted as sent)
 			}
-			inbox = append(inbox, Incoming{Port: p, From: int(from), Msg: msg})
+			inbox = append(inbox, Incoming{Port: int(p), From: int(from), Msg: msg})
 		}
+		s.pendingCount[id] = 0
 		s.inboxes[id] = inbox
 		s.inboxRound[id] = round
 	}
@@ -671,11 +681,10 @@ type Execution struct {
 	computeFn func(lo, hi int)
 	// Balance weights for the parallel executor's chunk boundaries (see
 	// parallel.go and DESIGN.md §3.12): delivery is weighted by the number
-	// of messages queued to each receiver plus its degree (deliver walks
-	// every port and appends every pending message), compute by vertex
-	// degree (which bounds both the inbox walk and a handler's send
-	// fan-out). Both read only barrier-built state, so boundaries are a
-	// pure function of the worklist.
+	// of messages queued to each receiver (deliver walks only its pending
+	// list), compute by vertex degree (which bounds both the inbox walk and
+	// a handler's send fan-out). Both read only barrier-built state, so
+	// boundaries are a pure function of the worklist.
 	deliverWt func(i int) int
 	computeWt func(i int) int
 	// obsPrev is the metrics snapshot at the previous round barrier; the
@@ -717,6 +726,7 @@ func (s *Simulator) Start(newHandler func(v *Vertex) Handler) *Execution {
 		for p := range v.outbox {
 			v.outbox[p] = nil
 		}
+		v.sent = v.sent[:0]
 		lo := s.off[i]
 		s.inboxes[i] = s.inboxFlat[lo:lo]
 	}
@@ -744,8 +754,7 @@ func (s *Simulator) Start(newHandler func(v *Vertex) Handler) *Execution {
 		}
 	}
 	e.deliverWt = func(i int) int {
-		id := s.deliverList[i]
-		return int(s.pendingCount[id]) + int(s.off[id+1]-s.off[id])
+		return int(s.pendingCount[s.deliverList[i]])
 	}
 	e.computeWt = func(i int) int {
 		id := s.stepList[i]
@@ -804,7 +813,7 @@ func (e *Execution) Step() (done bool, err error) {
 	s.metrics.Rounds++
 	s.assembleStepList(round)
 	e.runPhase(e.computeFn, len(s.stepList), e.computeWt)
-	s.mergeStepped(round)
+	s.mergeStepped()
 	if s.obs != nil {
 		m := s.metrics
 		s.obs.recordRound(

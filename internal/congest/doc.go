@@ -69,9 +69,9 @@
 //
 // The steady-state round loop is allocation-free (see DESIGN.md §3.8). The
 // vertex table is stored CSR-style: one value slice of Vertex records whose
-// ports, reverse ports, outbox slots, and inbox slots are contiguous
-// sub-slices of four shared flat arrays, built once per Simulator and reused
-// across Run calls. Handlers that need per-round message buffers should use
+// ports, reverse ports, outbox slots, sent and pending lists, and inbox
+// slots occupy the same contiguous range of six shared flat arrays, built
+// once per Simulator and reused across Run calls. Handlers that need per-round message buffers should use
 // Vertex.MsgBuf (or the SendWords/BroadcastWords conveniences), which
 // recycles a per-vertex double-buffered arena instead of allocating.
 //

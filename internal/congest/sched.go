@@ -11,7 +11,7 @@ import "slices"
 //                  sleeping), ascending by ID.
 //   - deliverList: vertices with at least one message queued to them by the
 //                  previous compute phase (pre-fault-filter), deduped, in the
-//                  order the senders' outboxes list them.
+//                  order the senders' sent lists name them.
 //   - wakeList:    sleeping vertices woken this round by a delivered message
 //                  or an expired SleepUntil timer, ascending once sorted.
 //   - stepList:    vertices actually stepped this round — awake merged with
@@ -23,9 +23,20 @@ import "slices"
 // allocation-free. stepList order fixes the parallel executor's compute
 // chunk boundaries — and therefore panic attribution — so it matches the
 // sequential path bit for bit. deliverList needs no order: delivery is
-// receiver-local and each inbox is filled from the receiver's own ports, so
-// no output depends on which worker delivers which receiver. Only the wake
-// list, usually a small fraction of the step list, is sorted each round.
+// receiver-local and each inbox is filled from the receiver's own pending
+// list, so no output depends on which worker delivers which receiver. Only
+// the wake list, usually a small fraction of the step list, is sorted each
+// round.
+//
+// Messages move between the phases through two more per-vertex lists, laid
+// out in flat arrays like the ports: a sender's sent list (the ports Send
+// queued on since the last barrier) and a receiver's pending list (the flat
+// outbox indices off[sender]+port of its queued messages, pendingCount
+// long). The barrier moves every sent entry onto its receiver's pending
+// list, and delivery walks the pending lists, so both cost O(messages)
+// rather than O(degree) per vertex. Senders are visited in ascending ID
+// order (the step list and the Init walk both ascend), so every pending
+// list — and with it every inbox — is ascending by sender ID.
 
 // timerHeap is a binary min-heap of packed (wakeRound<<32 | vertexID)
 // entries. Packing into one int64 makes the heap comparison order by round
@@ -126,20 +137,12 @@ func (s *Simulator) assembleStepList(round int) {
 
 // mergeStepped is the sparse counterpart of mergeShards: it drains the
 // metrics shards of the vertices that stepped this round (only they can have
-// accumulated anything), rebuilds the awake list and the next round's
-// deliverList, and arms SleepUntil timers. Every stepped vertex entered its
-// Round call with asleep=false and wakeAt=0, so a vertex sleeping with a
-// timer is pushed onto the heap exactly once per sleep.
-//
-// deliverList is derived by walking the outboxes of stepped vertices that
-// sent at least one message; deliverStamp dedups receivers with the delivery
-// round as the stamp (strictly increasing across barriers, reset by Start).
-// pendingCount tallies the messages queued to each listed receiver alongside
-// the dedup — it is the delivery-phase balance weight (parallel.go) and is
-// only meaningful for vertices stamped with the current delivery round.
-func (s *Simulator) mergeStepped(round int) {
+// accumulated anything), queues their sends for the next round's delivery,
+// rebuilds the awake list, and arms SleepUntil timers. Every stepped vertex
+// entered its Round call with asleep=false and wakeAt=0, so a vertex
+// sleeping with a timer is pushed onto the heap exactly once per sleep.
+func (s *Simulator) mergeStepped() {
 	var phaseSends int64
-	dr := round + 1
 	s.deliverList = s.deliverList[:0]
 	awake := s.awake[:0]
 	for _, id := range s.stepList {
@@ -161,20 +164,8 @@ func (s *Simulator) mergeStepped(round int) {
 				}
 			}
 		}
-		if v.local.messages != 0 {
-			for p, m := range v.outbox {
-				if m == nil {
-					continue
-				}
-				rcv := v.ports[p]
-				if s.deliverStamp[rcv] != dr {
-					s.deliverStamp[rcv] = dr
-					s.pendingCount[rcv] = 1
-					s.deliverList = append(s.deliverList, rcv)
-				} else {
-					s.pendingCount[rcv]++
-				}
-			}
+		if len(v.sent) != 0 {
+			s.queueSends(v)
 		}
 		v.local = vertexMetrics{}
 		switch {
@@ -188,6 +179,29 @@ func (s *Simulator) mergeStepped(round int) {
 	}
 	s.awake = awake
 	s.pendingMsgs = phaseSends
+}
+
+// queueSends moves v's sent list onto its receivers' pending lists, as flat
+// outbox indices off[v]+port, and empties it. pendingCount is the length of
+// each pending list — also the delivery-phase balance weight (parallel.go)
+// — and doubles as the deliverList dedup: a receiver is listed when its
+// first message arrives, and deliver zeroes the count again (Start zeroes
+// every count, in case a failed run left some). Callers visit senders in
+// ascending ID order, which keeps every pending list ascending by sender.
+func (s *Simulator) queueSends(v *Vertex) {
+	count, pending, off, list := s.pendingCount, s.pendingFlat, s.off, s.deliverList
+	ports, base := v.ports, off[v.id]
+	for _, p := range v.sent {
+		rcv := ports[p]
+		c := count[rcv]
+		if c == 0 {
+			list = append(list, rcv)
+		}
+		pending[off[rcv]+c] = base + p
+		count[rcv] = c + 1
+	}
+	s.deliverList = list
+	v.sent = v.sent[:0]
 }
 
 // armTimer pushes a sleeping vertex's SleepUntil wake onto the heap, unless
@@ -206,9 +220,10 @@ func (s *Simulator) armTimer(v *Vertex, id int) {
 }
 
 // resetSchedule re-arms the scheduler for a fresh execution: clears all
-// worklists and stamps (round numbers restart at 1 each run, so stale stamps
-// from a previous execution must not alias) and rebuilds the initial awake
-// set, delivery list, and timer heap from the post-Init vertex state.
+// worklists, pending counts (a failed run may leave some) and stamps (round
+// numbers restart at 1 each run, so stale stamps from a previous execution
+// must not alias) and rebuilds the initial awake set, delivery list, and
+// timer heap from the post-Init vertex state.
 func (s *Simulator) resetSchedule() {
 	s.stepList = s.stepList[:0]
 	s.wakeList = s.wakeList[:0]
@@ -216,24 +231,14 @@ func (s *Simulator) resetSchedule() {
 	s.timers = s.timers[:0]
 	awake := s.awake[:0]
 	for id := range s.verts {
-		s.deliverStamp[id] = 0
+		s.pendingCount[id] = 0
 		s.inboxRound[id] = 0
 		s.timerStamp[id] = 0
 	}
 	for id := range s.verts {
 		v := &s.verts[id]
-		for p, m := range v.outbox {
-			if m == nil {
-				continue
-			}
-			rcv := v.ports[p]
-			if s.deliverStamp[rcv] != 1 {
-				s.deliverStamp[rcv] = 1
-				s.pendingCount[rcv] = 1
-				s.deliverList = append(s.deliverList, rcv)
-			} else {
-				s.pendingCount[rcv]++
-			}
+		if len(v.sent) != 0 {
+			s.queueSends(v)
 		}
 		switch {
 		case v.halted:

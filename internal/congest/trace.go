@@ -234,6 +234,50 @@ func (o *Observer) recordRound(active int, msgs, words int64, maxWords, wordBits
 	}
 }
 
+// Replay adds the costs of a previously recorded report to the observer as
+// if its rounds had just executed under the innermost open phase: rep's
+// root accumulates into that phase, and each nested phase of rep into the
+// same-named child, created in rep's order when missing, exactly where
+// BeginPhase would have put it. The global round counter advances by
+// rep.Rounds, so later trace events keep the round indices a live run would
+// give them, but Replay itself emits no trace events. Reports built after a
+// replay are identical to ones built after executing the recorded rounds
+// live. Safe on a nil Observer or a nil report (no-op).
+func (o *Observer) Replay(rep *Report) {
+	if o == nil || rep == nil {
+		return
+	}
+	replayInto(o.cur, rep)
+	o.rounds += rep.Rounds
+}
+
+// replayInto adds r's self costs to n and recurses into r's children. A
+// report keeps only rolled-up totals, so self costs are the node's totals
+// minus its children's. The largest self message is not recoverable; the
+// rolled-up maximum stands in for it, which changes no report because a
+// node's reported maximum already covers its descendants.
+func replayInto(n *phaseNode, r *Report) {
+	self := PhaseTotals{
+		Rounds:         r.SelfRounds,
+		Messages:       r.Messages,
+		Words:          r.Words,
+		Bits:           r.Bits,
+		MaxWordsPerMsg: r.MaxWordsPerMsg,
+		Hist:           histOf(r.MsgSizeHist),
+	}
+	for _, c := range r.Phases {
+		self.Messages -= c.Messages
+		self.Words -= c.Words
+		self.Bits -= c.Bits
+		ch := histOf(c.MsgSizeHist)
+		for b := range ch {
+			self.Hist[b] -= ch[b]
+		}
+		replayInto(n.child(c.Name), c)
+	}
+	n.self.add(&self)
+}
+
 // TraceEvent is one per-round record of the JSONL trace stream. Round is the
 // observer-global round index (monotone across chained executions); Phase is
 // the "/"-joined phase stack at the time the round executed ("" when no

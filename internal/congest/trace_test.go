@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"reflect"
 	"testing"
 
 	"expandergap/internal/congest"
@@ -275,5 +276,114 @@ func TestTracingOverheadBounded(t *testing.T) {
 	t.Logf("steady-state Step: base %v/op, traced %v/op (ratio %.2f)", base.NsPerOp(), traced.NsPerOp(), ratio)
 	if ratio >= 2.0 {
 		t.Errorf("tracing overhead ratio %.2f, budget is < 2.0", ratio)
+	}
+}
+
+// runRounds executes one terminating run under obs in which every vertex
+// broadcasts a message of the given word count for the given number of
+// rounds, then halts.
+func runRounds(t *testing.T, g *graph.Graph, obs *congest.Observer, words, rounds int) {
+	t.Helper()
+	msg := make([]int64, words)
+	sim := congest.NewSimulator(g, congest.Config{Seed: 1, MaxWords: 16, Obs: obs})
+	_, err := sim.Run(func(v *congest.Vertex) congest.Handler {
+		return congest.RunFuncs{
+			InitFn: func(v *congest.Vertex) { v.BroadcastWords(msg...) },
+			RoundFn: func(v *congest.Vertex, round int, recv []congest.Incoming) {
+				if round >= rounds {
+					v.Halt()
+					return
+				}
+				v.BroadcastWords(msg...)
+			},
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestObserverReplay records a nested phase tree with mixed message sizes
+// and root self rounds on one observer, replays its report into a second
+// observer inside an open phase that already has a same-named child, and
+// checks that the second observer ends up with exactly the report, round
+// count and later trace events of an observer that executed the recorded
+// rounds live — while the replay itself emits no trace event.
+func TestObserverReplay(t *testing.T) {
+	g := graph.Grid(5, 5)
+	record := func(o *congest.Observer) {
+		o.BeginPhase("a")
+		runRounds(t, g, o, 1, 2)
+		o.BeginPhase("a1")
+		runRounds(t, g, o, 3, 1)
+		o.EndPhase()
+		o.BeginPhase("a2")
+		runRounds(t, g, o, 12, 2)
+		o.EndPhase()
+		o.EndPhase()
+		o.BeginPhase("b")
+		runRounds(t, g, o, 2, 3)
+		o.EndPhase()
+		runRounds(t, g, o, 1, 1) // the recorded root's own rounds
+	}
+	recorder := congest.NewObserver()
+	record(recorder)
+	rep := recorder.Report()
+
+	var liveTrace, replayTrace bytes.Buffer
+	live, replayed := congest.NewObserver(), congest.NewObserver()
+	live.EnableTrace(&liveTrace, 1)
+	replayed.EnableTrace(&replayTrace, 1)
+	for i, o := range []*congest.Observer{live, replayed} {
+		runRounds(t, g, o, 1, 1)
+		o.BeginPhase("outer")
+		runRounds(t, g, o, 5, 1)
+		o.BeginPhase("b")
+		runRounds(t, g, o, 1, 2)
+		o.EndPhase()
+		if i == 0 {
+			record(o)
+		} else {
+			before := replayTrace.Len()
+			o.Replay(rep)
+			if err := o.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if replayTrace.Len() != before {
+				t.Fatal("Replay emitted trace events")
+			}
+		}
+		o.BeginPhase("after")
+		runRounds(t, g, o, 4, 2)
+		o.EndPhase()
+		o.EndPhase()
+		if err := o.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lr, rr := live.Report(), replayed.Report(); !reflect.DeepEqual(lr, rr) {
+		t.Fatalf("report after replay differs from the live one:\nlive\n%s\nreplayed\n%s", lr, rr)
+	}
+	if live.Rounds() != replayed.Rounds() {
+		t.Fatalf("rounds %d after replay, %d live", replayed.Rounds(), live.Rounds())
+	}
+	liveEvents := bytes.Split(bytes.TrimSpace(liveTrace.Bytes()), []byte("\n"))
+	replayEvents := bytes.Split(bytes.TrimSpace(replayTrace.Bytes()), []byte("\n"))
+	if len(liveEvents)-len(replayEvents) != rep.Rounds {
+		t.Fatalf("%d live events, %d with replay; replayed report has %d rounds", len(liveEvents), len(replayEvents), rep.Rounds)
+	}
+	// Events after the replay keep the live round indices and phase paths.
+	for i := 1; i <= 2; i++ {
+		l, r := liveEvents[len(liveEvents)-i], replayEvents[len(replayEvents)-i]
+		if !bytes.Equal(l, r) {
+			t.Errorf("event after the replay %s, live %s", r, l)
+		}
+	}
+
+	var nilObs *congest.Observer
+	nilObs.Replay(rep)
+	replayed.Replay(nil)
+	if !reflect.DeepEqual(live.Report(), replayed.Report()) {
+		t.Error("Replay(nil) changed the report")
 	}
 }

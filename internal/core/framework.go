@@ -18,6 +18,28 @@
 // diameter check reset to singletons; clusters failing the degree condition
 // are reported (the property tester of §3.4 turns those into Reject); tokens
 // that miss the routing budget surface as per-vertex delivery failures.
+//
+// # Prefix: the snapshot-invariant phases
+//
+// Given a clustering, the diameter self-check (with its singleton resets),
+// leader election, orientation, and the routing budget depend only on the
+// graph, the clustering, and a few Options fields — never on the solver,
+// ε, or the seed (the primitives draw no randomness). Prepare simulates
+// them once and returns a Prefix; a run with Options.Prefix set reuses the
+// prefix's outputs instead of simulating those phases again. A server that
+// answers many queries against one cached decomposition (internal/serve)
+// therefore pays for the prefix once per snapshot.
+//
+// The accounting does not change: a run with a Prefix adds the prefix's
+// per-phase Metrics to Solution.Metrics and Solution.Phases, and replays its
+// phase report into Cfg.Obs (congest.Observer.Replay), so Solution and the
+// observer's Report are identical to a run that simulated the phases
+// itself. Phase costs are the run's CONGEST-model cost, whichever process
+// simulated them. A replay emits no per-round trace events; callers that
+// want a full round trace run without a Prefix.
+//
+// A Prefix applies only to the inputs it was prepared with (see
+// Options.Prefix); any mismatch is an error, never a silent recompute.
 package core
 
 import (
@@ -83,6 +105,13 @@ type Options struct {
 	// server path (internal/serve): one cached decomposition amortized
 	// across many queries. Length of Assignment must equal g.N().
 	Decomposition *expander.Decomposition
+	// Prefix, when non-nil, supplies the diameter check, leader election,
+	// orientation, and routing budget from a Prepare call instead of
+	// simulating them (see the package doc). It must have been prepared
+	// for this graph and decomposition with the same Density,
+	// SkipDiameterCheck, Cfg.Model, Cfg.MaxWords and Cfg.MaxRounds, and the
+	// run must have Cfg.FaultRate == 0; otherwise the run fails.
+	Prefix *Prefix
 }
 
 func (o Options) withDefaults() Options {
@@ -220,6 +249,11 @@ func RunWithDecomposition(g *graph.Graph, dec *expander.Decomposition, opts Opti
 }
 
 func run(g *graph.Graph, opts Options, injected *expander.Decomposition, solve LocalSolver, psolve PayloadSolver) (*Solution, error) {
+	if opts.Prefix != nil {
+		if err := opts.Prefix.check(g, injected, opts); err != nil {
+			return nil, err
+		}
+	}
 	n := g.N()
 	sol := &Solution{
 		Values:         make([]int64, n),
@@ -258,63 +292,36 @@ func run(g *graph.Graph, opts Options, injected *expander.Decomposition, solve L
 		}
 	}
 
-	phi := dec.Phi
-	b := diameterBound(phi, n)
-
-	// Phase 2: §2.3 diameter self-check; marked clusters reset to
-	// singletons.
-	if !opts.SkipDiameterCheck {
-		marked, m, derr := primitives.DiameterCheck(g, opts.Cfg, dec.Assignment, b)
-		if derr != nil {
-			return nil, derr
+	// Phases 2–4: the §2.3 diameter self-check (marked clusters reset to
+	// singletons), leader election, and orientation — from the cached
+	// prefix when one is given, else simulated live under the caller's
+	// observer so a trace keeps their per-round events. A live run derives
+	// the routing budget only when it will use it.
+	pre := opts.Prefix
+	if pre == nil {
+		pre, err = prepare(g, dec, opts, opts.ForwardRounds == 0 && !opts.Deterministic)
+		if err != nil {
+			return nil, err
 		}
-		sol.Metrics.Add(m)
-		sol.Phases["diameter-check"] = m.Rounds
-		copy(sol.DiameterMarked, marked)
-		if anyTrue(marked) {
-			assign := append(primitives.ClusterAssignment(nil), dec.Assignment...)
-			nextID := maxInt(assign) + 1
-			for v, mk := range marked {
-				if mk {
-					assign[v] = nextID
-					nextID++
-				}
-			}
-			dec = expander.FromAssignment(g, assign, dec.Eps, dec.Phi)
-		}
+	} else {
+		opts.Cfg.Obs.Replay(pre.report)
 	}
+	for _, ph := range pre.phases {
+		sol.Metrics.Add(ph.metrics)
+		sol.Phases[ph.name] = ph.metrics.Rounds
+	}
+	copy(sol.DiameterMarked, pre.marked)
+	dec = pre.dec
 	sol.Decomposition = dec
-
-	// Phase 3: leader election by (cluster-degree, ID).
-	leaders, m, err := primitives.ElectLeaders(g, opts.Cfg, dec.Assignment, b)
-	if err != nil {
-		return nil, err
-	}
-	sol.Metrics.Add(m)
-	sol.Phases["elect-leaders"] = m.Rounds
+	leaders := pre.leaders
 	copy(sol.Leader, leaders.Leader)
-
-	// Phase 4: Barenboim–Elkin orientation so each vertex owns O(t) cluster
-	// edges.
-	phases := 2*intLog2(n) + 4
-	orient, m, err := primitives.LowOutDegreeOrientation(g, opts.Cfg, dec.Assignment, opts.Density, phases)
-	if err != nil {
-		return nil, err
-	}
-	sol.Metrics.Add(m)
-	sol.Phases["orientation"] = m.Rounds
 
 	// Phase 5+6: topology gathering and answer dissemination in one
 	// exchange (Lemma 2.4 forward, reversed-walk backward).
-	budget := opts.ForwardRounds
-	if budget == 0 {
-		budget = forwardBudget(g, dec, phi, n)
-	}
-	sol.Phases["forward-budget"] = budget
 	plan := routing.Plan{
 		Cluster:       dec.Assignment,
 		Leader:        leaders.Leader,
-		ForwardRounds: budget,
+		ForwardRounds: opts.ForwardRounds,
 		Strategy:      routing.RandomWalk,
 	}
 	if opts.Deterministic {
@@ -326,7 +333,7 @@ func run(g *graph.Graph, opts Options, injected *expander.Decomposition, solve L
 		for id, members := range dec.Clusters {
 			roots[id] = leaders.Leader[members[0]]
 		}
-		bfs, m, berr := primitives.BFSForest(g, opts.Cfg, dec.Assignment, roots, b)
+		bfs, m, berr := primitives.BFSForest(g, opts.Cfg, dec.Assignment, roots, pre.bound)
 		if berr != nil {
 			return nil, berr
 		}
@@ -334,24 +341,24 @@ func run(g *graph.Graph, opts Options, injected *expander.Decomposition, solve L
 		sol.Phases["bfs-forest"] = m.Rounds
 		plan.Strategy = routing.TreeParent
 		plan.Parent = bfs.Parent
-		maxTokens := 4*opts.Density + 1
-		treeBudget := 0
-		for _, members := range dec.Clusters {
-			if tb := len(members)*maxTokens + b + 8; tb > treeBudget {
-				treeBudget = tb
+		if plan.ForwardRounds == 0 {
+			maxTokens := 4*opts.Density + 1
+			for _, members := range dec.Clusters {
+				if tb := len(members)*maxTokens + pre.bound + 8; tb > plan.ForwardRounds {
+					plan.ForwardRounds = tb
+				}
 			}
 		}
-		if opts.ForwardRounds == 0 {
-			plan.ForwardRounds = treeBudget
-			sol.Phases["forward-budget"] = treeBudget
-		}
+	} else if plan.ForwardRounds == 0 {
+		plan.ForwardRounds = pre.budget
 	}
-	tokens := buildTopologyTokens(g, dec.Assignment, orient, opts.VertexPayload)
+	sol.Phases["forward-budget"] = plan.ForwardRounds
+	tokens := buildTopologyTokens(g, dec.Assignment, pre.orient, opts.VertexPayload)
 	solveCtx := &solveContext{
 		g:            g,
 		solve:        solve,
 		psolve:       psolve,
-		phi:          phi,
+		phi:          dec.Phi,
 		leaderDegree: leaders.LeaderDegree,
 		infoByLeader: make(map[int]*ClusterInfo),
 	}
@@ -399,13 +406,158 @@ func run(g *graph.Graph, opts Options, injected *expander.Decomposition, solve L
 	return sol, nil
 }
 
+// Prefix is the snapshot-invariant part of a framework run, prepared once by
+// Prepare and shared read-only by any number of concurrent runs (via
+// Options.Prefix): the §2.3 diameter check and its singleton resets, leader
+// election, the Barenboim–Elkin orientation, and the random-walk routing
+// budget, together with the per-phase Metrics and the observer report the
+// phases produced.
+type Prefix struct {
+	// The inputs the prefix was prepared for (see check).
+	g                 *graph.Graph
+	injected          *expander.Decomposition
+	density           int
+	skipDiameterCheck bool
+	model             congest.Model
+	maxWords          int
+	maxRounds         int
+
+	dec     *expander.Decomposition // after the §2.3 singleton resets
+	marked  []bool
+	bound   int // the §2.3 diameter bound b
+	leaders primitives.LeaderResult
+	orient  primitives.Orientation
+	budget  int // forwardBudget; 0 when a live run does not need it
+	phases  []prefixPhase
+	report  *congest.Report
+}
+
+// prefixPhase is one simulated phase of a Prefix, in execution order.
+type prefixPhase struct {
+	name    string
+	metrics congest.Metrics
+}
+
+// Prepare simulates the snapshot-invariant phases of a framework run on g
+// with the clustering dec, for reuse via Options.Prefix by any number of
+// later runs on the same inputs. opts supplies Density, SkipDiameterCheck
+// and Cfg (Model, MaxWords, MaxRounds, Workers); Cfg.Obs is ignored — the
+// phases report into a private observer whose report the runs replay.
+// Preparing with Cfg.FaultRate > 0 is an error: the drop coins depend on
+// the seed, so faulty phases are not snapshot-invariant.
+func Prepare(g *graph.Graph, dec *expander.Decomposition, opts Options) (*Prefix, error) {
+	opts = opts.withDefaults()
+	if dec == nil {
+		return nil, fmt.Errorf("core: nil decomposition")
+	}
+	if err := validateInjected(g, dec); err != nil {
+		return nil, err
+	}
+	if opts.Cfg.FaultRate > 0 {
+		return nil, fmt.Errorf("core: cannot prepare a prefix with fault rate %v", opts.Cfg.FaultRate)
+	}
+	obs := congest.NewObserver()
+	opts.Cfg.Obs = obs
+	pre, err := prepare(g, dec, opts, true)
+	if err != nil {
+		return nil, err
+	}
+	pre.report = obs.Report()
+	return pre, nil
+}
+
+// prepare runs the prefix phases live under opts.Cfg (and its observer).
+// The routing budget — exact diameters of every cluster — is computed only
+// when withBudget is set.
+func prepare(g *graph.Graph, dec *expander.Decomposition, opts Options, withBudget bool) (*Prefix, error) {
+	n := g.N()
+	pre := &Prefix{
+		g:                 g,
+		injected:          dec,
+		density:           opts.Density,
+		skipDiameterCheck: opts.SkipDiameterCheck,
+		model:             opts.Cfg.Model,
+		maxWords:          opts.Cfg.MaxWords,
+		maxRounds:         opts.Cfg.MaxRounds,
+		marked:            make([]bool, n),
+		bound:             diameterBound(dec.Phi, n),
+	}
+	if n == 0 {
+		pre.dec = dec
+		return pre, nil
+	}
+
+	// §2.3 diameter self-check; marked clusters reset to singletons.
+	if !opts.SkipDiameterCheck {
+		marked, m, err := primitives.DiameterCheck(g, opts.Cfg, dec.Assignment, pre.bound)
+		if err != nil {
+			return nil, err
+		}
+		pre.phases = append(pre.phases, prefixPhase{"diameter-check", m})
+		pre.marked = marked
+		if anyTrue(marked) {
+			assign := append(primitives.ClusterAssignment(nil), dec.Assignment...)
+			nextID := maxInt(assign) + 1
+			for v, mk := range marked {
+				if mk {
+					assign[v] = nextID
+					nextID++
+				}
+			}
+			dec = expander.FromAssignment(g, assign, dec.Eps, dec.Phi)
+		}
+	}
+	pre.dec = dec
+
+	// Leader election by (cluster-degree, ID).
+	leaders, m, err := primitives.ElectLeaders(g, opts.Cfg, dec.Assignment, pre.bound)
+	if err != nil {
+		return nil, err
+	}
+	pre.phases = append(pre.phases, prefixPhase{"elect-leaders", m})
+	pre.leaders = leaders
+
+	// Barenboim–Elkin orientation so each vertex owns O(t) cluster edges.
+	orient, m, err := primitives.LowOutDegreeOrientation(g, opts.Cfg, dec.Assignment, opts.Density, 2*intLog2(n)+4)
+	if err != nil {
+		return nil, err
+	}
+	pre.phases = append(pre.phases, prefixPhase{"orientation", m})
+	pre.orient = orient
+
+	if withBudget {
+		pre.budget = forwardBudget(g, dec)
+	}
+	return pre, nil
+}
+
+// check reports whether the prefix may stand in for the live phases of a
+// run on g with the clustering dec under opts (defaults applied).
+func (p *Prefix) check(g *graph.Graph, dec *expander.Decomposition, opts Options) error {
+	switch {
+	case p.g != g:
+		return fmt.Errorf("core: prefix was prepared for another graph")
+	case p.injected != dec:
+		return fmt.Errorf("core: prefix was prepared for another decomposition")
+	case p.density != opts.Density:
+		return fmt.Errorf("core: prefix was prepared with density %d, run has %d", p.density, opts.Density)
+	case p.skipDiameterCheck != opts.SkipDiameterCheck:
+		return fmt.Errorf("core: prefix was prepared with SkipDiameterCheck=%t, run has %t", p.skipDiameterCheck, opts.SkipDiameterCheck)
+	case p.model != opts.Cfg.Model || p.maxWords != opts.Cfg.MaxWords || p.maxRounds != opts.Cfg.MaxRounds:
+		return fmt.Errorf("core: prefix was prepared under another simulator model, word cap or round cap")
+	case opts.Cfg.FaultRate > 0:
+		return fmt.Errorf("core: a prefix cannot serve a run with fault rate %v", opts.Cfg.FaultRate)
+	}
+	return nil
+}
+
 // forwardBudget derives the routing budget: the theoretical Lemma 2.4 value
 // WalkBudget(φ, n) capped by the concrete lazy-walk hitting-time bound —
 // the expected hitting time of a simple random walk is at most 2·m·D, the
 // lazy walk doubles it, and a ×4 slack plus log n retries covers congestion
 // and the high-probability requirement. The cap matters because the
 // worst-case φ target is far below the conductance of real clusters.
-func forwardBudget(g *graph.Graph, dec *expander.Decomposition, phi float64, n int) int {
+func forwardBudget(g *graph.Graph, dec *expander.Decomposition) int {
 	hitting := 0
 	for i := range dec.Clusters {
 		if len(dec.Clusters[i]) <= 1 {
@@ -420,7 +572,7 @@ func forwardBudget(g *graph.Graph, dec *expander.Decomposition, phi float64, n i
 	if hitting == 0 {
 		return 16
 	}
-	if theory := routing.WalkBudget(phi, n); theory < hitting {
+	if theory := routing.WalkBudget(dec.Phi, g.N()); theory < hitting {
 		return theory
 	}
 	return hitting

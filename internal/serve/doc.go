@@ -36,6 +36,21 @@
 // span machinery: rounds, messages, words, and bits per phase of the run
 // that produced it.
 //
+// # The framework prefix, once per snapshot
+//
+// The §2.3 diameter check, leader election, orientation, and the routing
+// budget depend only on the snapshot's graph and decomposition, not on a
+// query's seed or ε. The first matching, mis, or clustering query on a
+// snapshot simulates them once (core.Prepare, behind a sync.Once — queries
+// that arrive meanwhile wait for it) and every later framework query on
+// that snapshot reuses the prefix (core.Options.Prefix). walkroute never
+// prepares one, and BuildSnapshot and /mutate do not either, so swaps stay
+// as cheap as the decomposition. The accounting is unchanged: phase costs
+// are the run's CONGEST-model cost, so a prefixed run still reports the
+// diameter-check, elect-leaders, and orientation phases with the rounds,
+// messages, words, and bits they cost, byte-identical to a run that
+// simulated them itself.
+//
 // # Admission control and the encoded-response cache
 //
 // Canonical runs are multi-phase CONGEST simulations — seconds to hours of

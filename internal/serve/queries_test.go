@@ -44,6 +44,20 @@ func naiveMISStats(snap *Snapshot, set []int) []int {
 	return out
 }
 
+// naiveLabelStats counts each cluster's distinct labels with a map of its
+// own.
+func naiveLabelStats(snap *Snapshot, labels []int) []int {
+	out := make([]int, len(snap.Dec.Clusters))
+	for id, members := range snap.Dec.Clusters {
+		seen := map[int]bool{}
+		for _, v := range members {
+			seen[labels[v]] = true
+		}
+		out[id] = len(seen)
+	}
+	return out
+}
+
 // naiveTreeParents runs a map-backed BFS per cluster from its leader.
 func naiveTreeParents(snap *Snapshot) []int {
 	parent := make([]int, snap.G.N())
@@ -71,9 +85,9 @@ func naiveTreeParents(snap *Snapshot) []int {
 }
 
 // TestPerResultHelpersAt100k checks the mis projection, the per-cluster mis
-// counts and the deterministic walkroute tree parents against naive
-// references on a 100000-vertex grid cut into 1000 blocks, with a random
-// third of the vertices in the set.
+// counts, the per-cluster distinct clustering labels and the deterministic
+// walkroute tree parents against naive references on a 100000-vertex grid
+// cut into 1000 blocks, with a random third of the vertices in the set.
 func TestPerResultHelpersAt100k(t *testing.T) {
 	const rows, cols, block = 250, 400, 10
 	g := graph.Grid(rows, cols)
@@ -123,6 +137,23 @@ func TestPerResultHelpersAt100k(t *testing.T) {
 	}
 	if total != len(res.Set) {
 		t.Errorf("cluster counts sum to %d, set has %d", total, len(res.Set))
+	}
+
+	// Labels mix shared values (one per 7-vertex run, which crosses block
+	// borders and so reaches several clusters) with per-vertex negative
+	// ones, as ldd assigns to undelivered vertices.
+	lres := &Result{Family: "clustering", Labels: make([]int, n)}
+	for v := range lres.Labels {
+		lres.Labels[v] = v / 7
+		if rng.Intn(5) == 0 {
+			lres.Labels[v] = -(v + 1)
+		}
+	}
+	wantLabels := naiveLabelStats(snap, lres.Labels)
+	for id, st := range perClusterStats(snap, lres) {
+		if st.Stat != wantLabels[id] {
+			t.Fatalf("cluster %d: %d distinct labels, want %d", id, st.Stat, wantLabels[id])
+		}
 	}
 
 	parent, err := treeParents(snap)

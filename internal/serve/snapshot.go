@@ -2,9 +2,12 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"expandergap/internal/congest"
+	"expandergap/internal/core"
 	"expandergap/internal/expander"
 	"expandergap/internal/graph"
 	"expandergap/internal/routing"
@@ -43,7 +46,8 @@ func (s Spec) withDefaults() Spec {
 // decomposition, the derived leader/routing tables, and the epoch that
 // identifies it. Snapshots are shared by reference between the server and
 // all in-flight requests; nothing in a snapshot is ever mutated after
-// build.
+// build, except that the first framework query fills in the cached
+// framework prefix, once (frameworkPrefix).
 type Snapshot struct {
 	// Epoch is the monotone identity of this snapshot. Every query
 	// response and cache key carries it.
@@ -76,6 +80,12 @@ type Snapshot struct {
 	BuildDuration time.Duration
 
 	mapped *graph.Mapped
+	// prefix caches the framework phases that depend only on G and Dec
+	// (core.Prepare), built by the first framework query on this snapshot.
+	prefixOnce sync.Once
+	prefix     *core.Prefix
+	prefixErr  error
+	prepares   atomic.Int32 // core.Prepare calls on this snapshot: at most one
 	// refs counts the server's own reference (1 from birth) plus one per
 	// in-flight request. It only reaches zero after retire(), at which
 	// point the mmap (if any) is released; acquire never revives a
@@ -133,6 +143,23 @@ func BuildSnapshot(spec Spec, epoch int64) (*Snapshot, error) {
 	}
 	s.refs.Store(1)
 	return s, nil
+}
+
+// frameworkPrefix returns the snapshot's framework prefix: the §2.3
+// diameter check, leader election, orientation, and routing budget over
+// Dec, simulated by the first framework query to ask and shared read-only
+// by every later one (concurrent first queries wait for that one). It is
+// prepared lazily rather than in BuildSnapshot so /reload and /mutate stay
+// as cheap as the decomposition, and a snapshot that only serves walkroute
+// never pays for it. cfg supplies the simulator settings every framework
+// query uses (the prefix does not depend on the seed: the primitives draw
+// no randomness, and serve never injects faults).
+func (s *Snapshot) frameworkPrefix(cfg congest.Config) (*core.Prefix, error) {
+	s.prefixOnce.Do(func() {
+		s.prepares.Add(1)
+		s.prefix, s.prefixErr = core.Prepare(s.G, s.Dec, core.Options{Cfg: cfg})
+	})
+	return s.prefix, s.prefixErr
 }
 
 // acquire pins the snapshot for one request. It fails only on a snapshot
