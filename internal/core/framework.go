@@ -676,7 +676,7 @@ func (sc *solveContext) respond(leader int, inbox []routing.Token) [][2]int64 {
 	bld := graph.NewBuilder(len(members))
 	for _, e := range edges {
 		u, v := toNew[e.u], toNew[e.v]
-		if u == v || bld.HasEdge(u, v) {
+		if u == v {
 			continue
 		}
 		switch {

@@ -33,15 +33,9 @@ func (d *Decomposition) CutFraction(g *graph.Graph) float64 {
 	return float64(len(d.Removed)) / float64(g.M())
 }
 
-// ClusterGraph returns the induced subgraph of cluster i and the mapping
-// from its local vertex IDs to graph vertex IDs. It materializes a full
-// copy; read-only consumers should prefer ClusterView.
-func (d *Decomposition) ClusterGraph(g *graph.Graph, i int) (*graph.Graph, []int) {
-	return g.InducedSubgraph(d.Clusters[i])
-}
-
 // ClusterView returns the zero-copy view of cluster i. Cluster vertex lists
-// are sorted ascending, so the view's local IDs coincide with ClusterGraph's.
+// are sorted ascending, so local ID j is the cluster's j-th smallest vertex;
+// Materialize gives an independent copy.
 func (d *Decomposition) ClusterView(g *graph.Graph, i int) *graph.View {
 	return g.Induce(d.Clusters[i])
 }
@@ -233,7 +227,7 @@ func Decompose(g *graph.Graph, eps float64, opts Options) (*Decomposition, error
 				sideB = append(sideB, v)
 			}
 		}
-		for _, ei := range sub.CutEdges(cut) {
+		for _, ei := range graph.CutEdgesOf(sub, cut) {
 			removed[sub.BaseEdge(ei)] = true
 		}
 		recurse(sideA)

@@ -212,7 +212,7 @@ func TestClusterConductanceMeetsPhiExactly(t *testing.T) {
 		if len(c) < 2 || len(c) > conductance.MaxExactN {
 			continue
 		}
-		sub, _ := d.ClusterGraph(g, i)
+		sub, _ := d.ClusterView(g, i).Materialize()
 		if phi := conductance.ExactConductance(sub); phi < d.Phi {
 			t.Errorf("cluster %d: Φ = %v < φ = %v", i, phi, d.Phi)
 		}

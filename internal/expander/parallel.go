@@ -140,7 +140,7 @@ func (p *parDecomposer) solve(verts []int) [][]int {
 	// everything below them) must see this cut excluded from their views.
 	// Concurrent siblings elsewhere in the tree never read these elements —
 	// their pieces cannot contain an edge with an endpoint in this piece.
-	for _, ei := range sub.CutEdges(cut) {
+	for _, ei := range graph.CutEdgesOf(sub, cut) {
 		p.removed[sub.BaseEdge(ei)] = true
 	}
 	return p.solveChildren([][]int{sideA, sideB})

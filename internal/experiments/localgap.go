@@ -133,9 +133,6 @@ func rebuildGraph(n int, flat []int64, ref *graph.Graph) *graph.Graph {
 	b := graph.NewBuilder(n)
 	for i := 0; i+1 < len(flat); i += 2 {
 		u, v := int(flat[i]), int(flat[i+1])
-		if b.HasEdge(u, v) {
-			continue
-		}
 		switch {
 		case ref.Weighted():
 			if idx, ok := ref.EdgeIndex(u, v); ok {

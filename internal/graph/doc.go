@@ -9,7 +9,10 @@
 // indices) hold every adjacency, with each row sorted by ascending neighbor
 // ID. Construction goes through Builder, which deduplicates parallel edges,
 // rejects self-loops, and assigns canonical (sorted) edge indices that are
-// stable across insertion orders. Edge weights (for maximum weight matching)
+// stable across insertion orders. Every construction path — Builder, the
+// text parser, the streaming generators and Overlay.Compact — lays out the
+// rows through one two-pass assembly, StreamingBuilder, so equal edge sets
+// give bit-identical graphs whichever path built them. Edge weights (for maximum weight matching)
 // and edge signs (for correlation clustering) are optional per-edge
 // annotations carried by parallel arrays indexed by edge index. Aggregate
 // quantities that would otherwise need a scan — MaxDegree, MinDegree,
@@ -55,12 +58,11 @@
 //     call.
 //
 // LoadFile sniffs the format by magic and dispatches. For generating large
-// inputs, ErdosRenyiStream, RandomMaximalPlanarStream and RandomPlanarStream
-// assemble CSR in parallel from per-row splitmix64 streams; the planar
-// variants are byte-identical to their Builder counterparts for equal seeds.
-// StreamingBuilder is the shared two-pass assembly they and the text parser
-// build on. See DESIGN.md §3.13 for the on-disk layout and the aliasing
-// rules.
+// inputs, ErdosRenyiStream draws its rows in parallel from per-row
+// splitmix64 streams, and RandomMaximalPlanarStream and RandomPlanarStream
+// sort their packed edges in parallel; every worker count builds the same
+// graph, and RandomMaximalPlanar and RandomPlanar are their one-worker
+// calls. See DESIGN.md §3.13 for the on-disk layout and the aliasing rules.
 //
 // # Mutation
 //

@@ -218,68 +218,18 @@ func BalancedBinaryTree(n int) *Graph {
 // on n >= 3 vertices, built by repeatedly inserting a new vertex into a
 // uniformly random face of the current triangulation and connecting it to
 // the face's three corners. The result is planar by construction with
-// exactly 3n-6 edges.
+// exactly 3n-6 edges. It is RandomMaximalPlanarStream on one worker.
 func RandomMaximalPlanar(n int, rng *rand.Rand) *Graph {
-	if n < 3 {
-		panic(fmt.Sprintf("graph: maximal planar needs n >= 3, got %d", n))
-	}
-	b := NewBuilder(n)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(0, 2)
-	// Faces of the triangulation, including the outer face {0,1,2}.
-	faces := [][3]int{{0, 1, 2}, {0, 1, 2}}
-	for v := 3; v < n; v++ {
-		fi := rng.Intn(len(faces))
-		f := faces[fi]
-		b.AddEdge(v, f[0])
-		b.AddEdge(v, f[1])
-		b.AddEdge(v, f[2])
-		// Replace face f with the three new faces.
-		faces[fi] = [3]int{v, f[0], f[1]}
-		faces = append(faces, [3]int{v, f[0], f[2]}, [3]int{v, f[1], f[2]})
-	}
-	return b.Graph()
+	return RandomMaximalPlanarStream(n, rng, 1)
 }
 
 // RandomPlanar returns a random planar graph on n vertices with approximately
 // the given edge fraction of a maximal triangulation: it builds a random
 // triangulation and keeps each edge independently with probability keep
 // (clamped to [0, 1]), always keeping a spanning structure connected by
-// re-adding deleted edges as needed.
+// re-adding deleted edges as needed. It is RandomPlanarStream on one worker.
 func RandomPlanar(n int, keep float64, rng *rand.Rand) *Graph {
-	if keep < 0 {
-		keep = 0
-	}
-	if keep > 1 {
-		keep = 1
-	}
-	tri := RandomMaximalPlanar(n, rng)
-	b := NewBuilder(n)
-	type cand struct{ e Edge }
-	var dropped []cand
-	for _, e := range tri.Edges() {
-		if rng.Float64() < keep {
-			b.AddEdge(e.U, e.V)
-		} else {
-			dropped = append(dropped, cand{e})
-		}
-	}
-	// Reconnect using dropped edges (they are all planar-safe).
-	uf := NewUnionFind(n)
-	for _, e := range b.Graph().Edges() {
-		uf.Union(e.U, e.V)
-	}
-	rng.Shuffle(len(dropped), func(i, j int) { dropped[i], dropped[j] = dropped[j], dropped[i] })
-	for _, c := range dropped {
-		if uf.Sets() == 1 {
-			break
-		}
-		if uf.Union(c.e.U, c.e.V) {
-			b.AddEdge(c.e.U, c.e.V)
-		}
-	}
-	return b.Graph()
+	return RandomPlanarStream(n, keep, rng, 1)
 }
 
 // RandomOuterplanar returns a random maximal outerplanar graph on n >= 3

@@ -5,18 +5,17 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// Streaming generators for huge inputs. The Builder path buffers every edge
-// in a pending slice and sorts it (O(m) extra memory, O(m log m) time); the
-// generators here emit edges already in canonical order — or as packed
-// uint64 keys whose numeric order IS the canonical order — and assemble the
-// CSR arrays directly, in parallel. Their outputs are bit-identical to what
-// the equivalent Builder construction produces, so every consumer downstream
-// (views, decompositions, the simulator) sees the same graph either way.
+// Streaming generators for huge inputs. They emit edges as packed uint64
+// keys whose numeric order is the canonical (U, V) order — already sorted,
+// or sorted in parallel — and hand them to the shared StreamingBuilder
+// assembly, so their graphs are bit-identical to what Builder produces for
+// the same edge set and every consumer downstream (views, decompositions,
+// the simulator) sees the same graph either way.
 
 // splitmix64 advances *s and returns the next value of the splitmix64
 // sequence. Each generator row gets its own arithmetic-progression start
@@ -65,12 +64,13 @@ func erRow(i, n int, invLog float64, seed int64, emit func(j int)) {
 }
 
 // ErdosRenyiStream samples G(n, p) directly into CSR form. Unlike ErdosRenyi
-// it never materializes a pending edge buffer and costs O(m) draws instead of
-// O(n^2): pass one counts each row's successes, pass two replays the same
-// per-row random streams to place edges at their final offsets. Rows are
-// distributed over workers (0 means GOMAXPROCS), and because every row owns
-// an independent stream keyed by (seed, row), the result is a deterministic
-// function of (n, p, seed) alone — any worker count builds the same graph.
+// it costs O(m) draws instead of O(n^2) and never sorts: pass one counts
+// each row's successes, pass two replays the same per-row random streams to
+// write every row's packed edges at its final offset, already in canonical
+// order. Rows are distributed over workers (0 means GOMAXPROCS), and because
+// every row owns an independent stream keyed by (seed, row), the result is
+// a deterministic function of (n, p, seed) alone — any worker count builds
+// the same graph.
 //
 // The sampler consumes a different random stream than ErdosRenyi's rand.Rand,
 // so the two functions produce different (equally distributed) graphs.
@@ -78,77 +78,37 @@ func ErdosRenyiStream(n int, p float64, seed int64, workers int) *Graph {
 	if n < 0 || n > math.MaxInt32 {
 		panic(fmt.Sprintf("graph: n=%d outside the CSR int32 index range", n))
 	}
-	workers = normWorkers(workers)
 	if p >= 1 {
 		return Complete(n)
 	}
-	g := &Graph{n: n}
-	g.adjOff = make([]int32, n+1)
-	g.edges = []Edge{}
-	if p <= 0 || n < 2 {
-		return g
-	}
-	invLog := 1 / math.Log1p(-p)
-
-	// Pass 1: count. rowCount[i] is owned by row i's worker; deg sees
-	// scattered increments from lower rows, so it is updated atomically.
-	rowCount := make([]int32, n)
-	deg := make([]int32, n)
-	parallelRows(n, workers, func(i int) {
-		var k int32
-		erRow(i, n, invLog, seed, func(j int) {
-			k++
-			atomic.AddInt32(&deg[j], 1)
+	var keys []uint64
+	if p > 0 && n >= 2 {
+		workers = normWorkers(workers)
+		invLog := 1 / math.Log1p(-p)
+		rowStart := make([]int64, n+1) // row i counts into rowStart[i+1]
+		parallelRows(n, workers, func(i int) {
+			erRow(i, n, invLog, seed, func(int) { rowStart[i+1]++ })
 		})
-		rowCount[i] = k
-		atomic.AddInt32(&deg[i], k)
-	})
-
-	var m int64
-	rowStart := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		rowStart[i] = m
-		m += int64(rowCount[i])
-	}
-	rowStart[n] = m
-	if m > math.MaxInt32/2 {
-		panic(fmt.Sprintf("graph: m=%d exceeds the CSR int32 index range", m))
-	}
-	for v := 0; v < n; v++ {
-		g.adjOff[v+1] = g.adjOff[v] + deg[v]
-	}
-
-	g.edges = make([]Edge, m)
-	g.adjTo = make([]int32, 2*m)
-	g.adjIdx = make([]int32, 2*m)
-	cursor := make([]int32, n)
-	copy(cursor, g.adjOff[:n])
-
-	// Pass 2: replay the identical streams and place every edge at its
-	// final index. Slots within a row are claimed atomically, then pass 3
-	// restores the canonical neighbor-sorted row order.
-	parallelRows(n, workers, func(i int) {
-		idx := rowStart[i]
-		erRow(i, n, invLog, seed, func(j int) {
-			placeHalfEdges(g, cursor, i, j, int32(idx))
-			g.edges[idx] = Edge{U: i, V: j}
-			idx++
+		for i := 0; i < n; i++ {
+			rowStart[i+1] += rowStart[i]
+		}
+		if m := rowStart[n]; m > math.MaxInt32/2 {
+			panic(fmt.Sprintf("graph: m=%d exceeds the CSR int32 index range", m))
+		}
+		keys = make([]uint64, rowStart[n])
+		parallelRows(n, workers, func(i int) {
+			k := rowStart[i]
+			erRow(i, n, invLog, seed, func(j int) {
+				keys[k] = packEdge(i, j)
+				k++
+			})
 		})
-	})
-	parallelRows(n, workers, func(v int) {
-		lo, hi := g.adjOff[v], g.adjOff[v+1]
-		sortRowAny(g.adjTo[lo:hi], g.adjIdx[lo:hi])
-	})
-	g.finishStats()
+	}
+	g, err := fromSortedKeys(n, keys)
+	if err != nil {
+		panic(err) // unreachable: rows emit ascending in-range neighbors j > i
+	}
 	return g
-}
-
-// placeHalfEdges claims one adjacency slot in row u and one in row v.
-func placeHalfEdges(g *Graph, cursor []int32, u, v int, idx int32) {
-	su := atomic.AddInt32(&cursor[u], 1) - 1
-	sv := atomic.AddInt32(&cursor[v], 1) - 1
-	g.adjTo[su], g.adjIdx[su] = int32(v), idx
-	g.adjTo[sv], g.adjIdx[sv] = int32(u), idx
 }
 
 // parallelRows runs fn(i) for every i in [0, n), fanning blocks of rows out
@@ -183,118 +143,21 @@ func parallelRows(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// sortRowAny sorts an adjacency row by neighbor ID, keeping edge indices
-// paired. Small rows use the shared insertion sort; large rows (hubs of
-// triangulations, wheels) would be quadratic there, so they fall back to a
-// comparison sort.
-func sortRowAny(to, idx []int32) {
-	if len(to) <= 32 {
-		sortRow(to, idx)
-		return
-	}
-	sort.Sort(&pairedRow{to: to, idx: idx})
-}
-
-type pairedRow struct{ to, idx []int32 }
-
-func (p *pairedRow) Len() int           { return len(p.to) }
-func (p *pairedRow) Less(i, j int) bool { return p.to[i] < p.to[j] }
-func (p *pairedRow) Swap(i, j int) {
-	p.to[i], p.to[j] = p.to[j], p.to[i]
-	p.idx[i], p.idx[j] = p.idx[j], p.idx[i]
-}
-
-// packEdge encodes a canonical edge as a uint64 whose numeric order is the
-// canonical (U, V) order.
-func packEdge(u, v int) uint64 { return uint64(u)<<32 | uint64(v) }
-
 // fromPackedEdges assembles a CSR graph from packed canonical edges (u<<32|v
-// with u < v). The slice is sorted in place (in parallel), validated, and
-// placed with the same parallel scheme as ErdosRenyiStream. The result is
-// bit-identical to feeding the same edges through a Builder.
+// with u < v). The slice is sorted in place (in parallel) and then streamed
+// through the shared assembly, which rejects out-of-range, duplicate and
+// non-canonical keys. The result is bit-identical to feeding the same edges
+// through a Builder.
 func fromPackedEdges(n int, packed []uint64, workers int) (*Graph, error) {
-	if n < 0 || n > math.MaxInt32 {
-		return nil, fmt.Errorf("graph: n=%d outside the CSR int32 index range", n)
-	}
-	if len(packed) > math.MaxInt32/2 {
-		return nil, fmt.Errorf("graph: m=%d exceeds the CSR int32 index range", len(packed))
-	}
-	workers = normWorkers(workers)
-	parallelSortUint64(packed, workers)
-
-	g := &Graph{n: n}
-	g.adjOff = make([]int32, n+1)
-	g.edges = make([]Edge, len(packed))
-	m := len(packed)
-	if m > 0 {
-		g.adjTo = make([]int32, 2*m)
-		g.adjIdx = make([]int32, 2*m)
-	}
-
-	deg := make([]int32, n+1) // one slack slot so n=0 stays allocation-safe
-	var firstErr atomic.Value
-	parallelEdgeRanges(m, workers, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			u, v := int(packed[k]>>32), int(packed[k]&0xffffffff)
-			if u >= v || v >= n {
-				firstErr.CompareAndSwap(nil, fmt.Errorf("graph: invalid packed edge {%d,%d} for n=%d", u, v, n))
-				return
-			}
-			if k > 0 && packed[k] == packed[k-1] {
-				firstErr.CompareAndSwap(nil, fmt.Errorf("graph: duplicate edge {%d,%d}", u, v))
-				return
-			}
-			atomic.AddInt32(&deg[u], 1)
-			atomic.AddInt32(&deg[v], 1)
-		}
-	})
-	if err, _ := firstErr.Load().(error); err != nil {
-		return nil, err
-	}
-	for v := 0; v < n; v++ {
-		g.adjOff[v+1] = g.adjOff[v] + deg[v]
-	}
-	cursor := make([]int32, n)
-	copy(cursor, g.adjOff[:n])
-	parallelEdgeRanges(m, workers, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			u, v := int(packed[k]>>32), int(packed[k]&0xffffffff)
-			placeHalfEdges(g, cursor, u, v, int32(k))
-			g.edges[k] = Edge{U: u, V: v}
-		}
-	})
-	parallelRows(n, workers, func(v int) {
-		lo, hi := g.adjOff[v], g.adjOff[v+1]
-		sortRowAny(g.adjTo[lo:hi], g.adjIdx[lo:hi])
-	})
-	g.finishStats()
-	return g, nil
-}
-
-// parallelEdgeRanges splits [0, m) into contiguous per-worker ranges.
-func parallelEdgeRanges(m, workers int, fn func(lo, hi int)) {
-	if workers <= 1 || m < 1<<14 {
-		fn(0, m)
-		return
-	}
-	var wg sync.WaitGroup
-	per := (m + workers - 1) / workers
-	for lo := 0; lo < m; lo += per {
-		hi := min(lo+per, m)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	parallelSortUint64(packed, normWorkers(workers))
+	return fromSortedKeys(n, packed)
 }
 
 // parallelSortUint64 sorts s ascending: per-worker chunks sorted
 // concurrently, then pairwise merged.
 func parallelSortUint64(s []uint64, workers int) {
 	if workers <= 1 || len(s) < 1<<16 {
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		slices.Sort(s)
 		return
 	}
 	per := (len(s) + workers - 1) / workers
@@ -307,7 +170,7 @@ func parallelSortUint64(s []uint64, workers int) {
 		wg.Add(1)
 		go func(c []uint64) {
 			defer wg.Done()
-			sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+			slices.Sort(c)
 		}(c)
 	}
 	wg.Wait()
@@ -363,11 +226,11 @@ func mergeUint64(a, b, dst []uint64) {
 	copy(dst[k+len(a)-i:], b[j:])
 }
 
-// RandomMaximalPlanarStream is RandomMaximalPlanar without the Builder: it
-// consumes rng in the exact same call sequence (one Intn per inserted
-// vertex), so for equal seeds it returns the identical graph, but it
-// accumulates packed edges and assembles the CSR arrays in parallel. Use it
-// when n is large enough that the pending-buffer sort dominates.
+// RandomMaximalPlanarStream builds the triangulation RandomMaximalPlanar
+// describes, consuming rng with one Intn per inserted vertex, and sorts its
+// packed edges on the given number of workers (0 means GOMAXPROCS). Every
+// worker count builds the same graph for equal seeds; RandomMaximalPlanar is
+// the one-worker call.
 func RandomMaximalPlanarStream(n int, rng *rand.Rand, workers int) *Graph {
 	if n < 3 {
 		panic(fmt.Sprintf("graph: maximal planar needs n >= 3, got %d", n))
@@ -392,10 +255,12 @@ func RandomMaximalPlanarStream(n int, rng *rand.Rand, workers int) *Graph {
 	return g
 }
 
-// RandomPlanarStream is RandomPlanar on the streaming substrate: identical
-// rng consumption (triangulation insertions, one Float64 per edge, one
-// Shuffle, union-find repair in the same order), identical output for equal
-// seeds, but no intermediate Builder graphs.
+// RandomPlanarStream builds the graph RandomPlanar describes on the given
+// number of workers: the triangulation's insertions, then one Float64 per
+// triangulation edge in canonical order, one Shuffle of the dropped edges
+// and a union-find repair that re-adds them until the graph is connected.
+// Every worker count builds the same graph for equal seeds; RandomPlanar is
+// the one-worker call.
 func RandomPlanarStream(n int, keep float64, rng *rand.Rand, workers int) *Graph {
 	if keep < 0 {
 		keep = 0
@@ -413,11 +278,10 @@ func RandomPlanarStream(n int, keep float64, rng *rand.Rand, workers int) *Graph
 			dropped = append(dropped, e)
 		}
 	}
-	// Reconnect with dropped edges. Kept edges are already canonical-order,
-	// matching the Edges() iteration RandomPlanar unions over.
+	// Reconnect with dropped edges (they are all planar-safe).
 	uf := NewUnionFind(n)
-	for _, p := range kept {
-		uf.Union(int(p>>32), int(p&0xffffffff))
+	for _, k := range kept {
+		uf.Union(unpackEdge(k))
 	}
 	rng.Shuffle(len(dropped), func(i, j int) { dropped[i], dropped[j] = dropped[j], dropped[i] })
 	for _, e := range dropped {

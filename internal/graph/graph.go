@@ -1,9 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 )
 
 // Edge is an undirected edge with canonical orientation U < V.
@@ -65,8 +65,7 @@ func (g *Graph) M() int { return len(g.edges) }
 func (g *Graph) Degree(v int) int { return int(g.adjOff[v+1] - g.adjOff[v]) }
 
 // MaxDegree returns the maximum vertex degree (0 for an empty graph). The
-// value is computed once when the Builder finalizes the graph, so this is
-// O(1).
+// value is computed once when the graph is assembled, so this is O(1).
 func (g *Graph) MaxDegree() int { return g.maxDeg }
 
 // MinDegree returns the minimum vertex degree, or 0 for an empty graph. Like
@@ -231,16 +230,21 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("Graph(n=%d, m=%d, Δ=%d)", g.n, len(g.edges), g.MaxDegree())
 }
 
-// Builder incrementally assembles a Graph. The zero value is unusable; create
-// builders with NewBuilder.
+// Builder incrementally assembles a Graph from edges added in any order.
+// The zero value is unusable; create builders with NewBuilder.
 type Builder struct {
-	n       int
-	seen    map[Edge]int // canonical edge -> index into pending slices
-	pending []Edge
-	weight  []int64
-	sign    []int8
-	anyW    bool
-	anyS    bool
+	n    int
+	adds []keyedEdge // every addition in call order until Graph sorts them
+	anyW bool
+	anyS bool
+}
+
+// keyedEdge is one Builder addition: the packed canonical key of the edge
+// with the weight and sign it was added with.
+type keyedEdge struct {
+	key uint64
+	w   int64
+	s   int8
 }
 
 // NewBuilder returns a Builder for a graph on n vertices. It panics if n < 0.
@@ -248,19 +252,18 @@ func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
 	}
-	return &Builder{n: n, seen: make(map[Edge]int)}
+	return &Builder{n: n}
 }
 
 // N returns the number of vertices the builder was created with.
 func (b *Builder) N() int { return b.n }
 
-// M returns the number of distinct edges added so far.
-func (b *Builder) M() int { return len(b.pending) }
-
 // AddEdge adds the undirected edge {u, v} with weight 1 and sign +1.
-// Duplicate edges are ignored. It panics on self-loops and out-of-range
-// endpoints; input paths that cannot trust their edges should use TryAddEdge,
-// which reports the same conditions as errors.
+// Adding an edge again overwrites its weight and sign: the last addition
+// wins, and a graph with any weighted addition stays weighted. It panics on
+// self-loops and out-of-range endpoints; input paths that cannot trust
+// their edges should use TryAddEdge, which reports the same conditions as
+// errors.
 func (b *Builder) AddEdge(u, v int) { b.add(u, v, 1, 1, false, false) }
 
 // AddWeightedEdge adds {u, v} with the given positive weight. If the edge was
@@ -316,100 +319,38 @@ func (b *Builder) tryAdd(u, v int, w int64, s int8, isWeighted, isSigned bool) e
 	if u == v {
 		return fmt.Errorf("graph: self-loop on vertex %d: %w", u, ErrSelfLoop)
 	}
-	e := Edge{U: u, V: v}.Canon()
-	if i, ok := b.seen[e]; ok {
-		b.weight[i] = w
-		b.sign[i] = s
-	} else {
-		b.seen[e] = len(b.pending)
-		b.pending = append(b.pending, e)
-		b.weight = append(b.weight, w)
-		b.sign = append(b.sign, s)
+	if u > v {
+		u, v = v, u
 	}
+	b.adds = append(b.adds, keyedEdge{key: packEdge(u, v), w: w, s: s})
 	b.anyW = b.anyW || isWeighted
 	b.anyS = b.anyS || isSigned
 	return nil
 }
 
-// HasEdge reports whether {u, v} has been added.
-func (b *Builder) HasEdge(u, v int) bool {
-	_, ok := b.seen[Edge{U: u, V: v}.Canon()]
-	return ok
-}
-
 // Graph finalizes the builder into an immutable Graph. The builder remains
 // usable (further edges may be added and Graph called again).
+//
+// Edge indices follow the canonical (U, V) order, so they do not depend on
+// the insertion order. The additions are stable-sorted by key, which keeps
+// the repeated additions of an edge in call order; the last of each run
+// wins. Sorting and deduplicating in place keeps that true for later calls,
+// since every later addition follows the ones kept here.
 func (b *Builder) Graph() *Graph {
-	if b.n > math.MaxInt32 || len(b.pending) > math.MaxInt32/2 {
-		panic(fmt.Sprintf("graph: n=%d m=%d exceeds the CSR int32 index range", b.n, len(b.pending)))
-	}
-	g := &Graph{n: b.n}
-	// Sort edges canonically so edge indices are deterministic regardless of
-	// insertion order.
-	order := make([]int, len(b.pending))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, c := b.pending[order[i]], b.pending[order[j]]
-		if a.U != c.U {
-			return a.U < c.U
+	slices.SortStableFunc(b.adds, func(x, y keyedEdge) int { return cmp.Compare(x.key, y.key) })
+	kept := b.adds[:0]
+	for i, e := range b.adds {
+		if i+1 == len(b.adds) || b.adds[i+1].key != e.key {
+			kept = append(kept, e)
 		}
-		return a.V < c.V
+	}
+	b.adds = kept
+	g, err := assemble(b.n, len(kept), b.anyW, b.anyS, func(i int) (int, int, int64, int8) {
+		u, v := unpackEdge(kept[i].key)
+		return u, v, kept[i].w, kept[i].s
 	})
-	g.edges = make([]Edge, len(order))
-	if b.anyW {
-		g.weight = make([]int64, len(order))
-	}
-	if b.anyS {
-		g.sign = make([]int8, len(order))
-	}
-	for newIdx, oldIdx := range order {
-		g.edges[newIdx] = b.pending[oldIdx]
-		if g.weight != nil {
-			g.weight[newIdx] = b.weight[oldIdx]
-		}
-		if g.sign != nil {
-			g.sign[newIdx] = b.sign[oldIdx]
-		}
-	}
-	// CSR construction: count degrees into the offset array, prefix-sum, then
-	// place both half-edges of every edge in canonical order. Because edges
-	// are sorted by (U, V), every row comes out sorted by neighbor ID: row v
-	// first receives its lower neighbors (from edges with U < v, in ascending
-	// U order) and then its higher neighbors (from edges with U = v, in
-	// ascending V order).
-	g.adjOff = make([]int32, b.n+1)
-	for _, e := range g.edges {
-		g.adjOff[e.U+1]++
-		g.adjOff[e.V+1]++
-	}
-	for v := 0; v < b.n; v++ {
-		g.adjOff[v+1] += g.adjOff[v]
-	}
-	g.adjTo = make([]int32, 2*len(g.edges))
-	g.adjIdx = make([]int32, 2*len(g.edges))
-	cursor := make([]int32, b.n)
-	copy(cursor, g.adjOff[:b.n])
-	for idx, e := range g.edges {
-		g.adjTo[cursor[e.U]] = int32(e.V)
-		g.adjIdx[cursor[e.U]] = int32(idx)
-		cursor[e.U]++
-		g.adjTo[cursor[e.V]] = int32(e.U)
-		g.adjIdx[cursor[e.V]] = int32(idx)
-		cursor[e.V]++
-	}
-	g.finishStats()
-	// Assert the sorted-row invariant in debug-ish fashion, repairing with a
-	// paired insertion sort if it ever fails.
-	for v := 0; v < b.n; v++ {
-		lo, hi := int(g.adjOff[v]), int(g.adjOff[v+1])
-		for i := lo + 1; i < hi; i++ {
-			if g.adjTo[i-1] >= g.adjTo[i] {
-				sortRow(g.adjTo[lo:hi], g.adjIdx[lo:hi])
-				break
-			}
-		}
+	if err != nil {
+		panic(err.Error())
 	}
 	return g
 }
@@ -441,17 +382,6 @@ func (g *Graph) finishStats() {
 			}
 		} else {
 			g.totalW = int64(len(g.edges))
-		}
-	}
-}
-
-// sortRow sorts one adjacency row by neighbor ID, keeping the parallel edge
-// indices aligned. Rows are produced sorted, so this is a cold repair path.
-func sortRow(to, idx []int32) {
-	for i := 1; i < len(to); i++ {
-		for j := i; j > 0 && to[j-1] > to[j]; j-- {
-			to[j-1], to[j] = to[j], to[j-1]
-			idx[j-1], idx[j] = idx[j], idx[j-1]
 		}
 	}
 }
@@ -535,27 +465,4 @@ func (g *Graph) RemoveEdges(drop map[int]bool) *Graph {
 		}
 	}
 	return g.SubgraphFromEdgeSet(keep)
-}
-
-// RemoveVertices returns the subgraph induced by all vertices not in drop,
-// plus the old-ID mapping as in InducedSubgraph.
-func (g *Graph) RemoveVertices(drop map[int]bool) (*Graph, []int) {
-	keep := make([]int, 0, g.n)
-	for v := 0; v < g.n; v++ {
-		if !drop[v] {
-			keep = append(keep, v)
-		}
-	}
-	return g.InducedSubgraph(keep)
-}
-
-// CutEdges returns the indices of edges with exactly one endpoint in s.
-func (g *Graph) CutEdges(s map[int]bool) []int {
-	var out []int
-	for idx, e := range g.edges {
-		if s[e.U] != s[e.V] {
-			out = append(out, idx)
-		}
-	}
-	return out
 }

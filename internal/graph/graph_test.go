@@ -150,6 +150,46 @@ func TestWeightsAndSigns(t *testing.T) {
 	}
 }
 
+// TestBuilderLastAdditionWins: a repeated edge takes the weight and sign of
+// its last addition, a plain re-add resets the weight to 1 without making
+// the graph unweighted, and Graph can be called again after more additions
+// without touching the graphs it returned before.
+func TestBuilderLastAdditionWins(t *testing.T) {
+	b := NewBuilder(4)
+	b.AddWeightedEdge(0, 1, 7)
+	b.AddEdge(1, 0)
+	b.AddSignedEdge(2, 3, -1)
+	b.AddSignedEdge(3, 2, 1)
+	b.AddWeightedEdge(1, 2, 5)
+	weightOf := func(g *Graph, u, v int) int64 {
+		t.Helper()
+		idx, ok := g.EdgeIndex(u, v)
+		if !ok {
+			t.Fatalf("edge {%d,%d} missing", u, v)
+		}
+		return g.Weight(idx)
+	}
+	g1 := b.Graph()
+	if g1.M() != 3 || !g1.Weighted() || !g1.Signed() {
+		t.Fatalf("first graph: m=%d weighted=%v signed=%v, want 3 true true", g1.M(), g1.Weighted(), g1.Signed())
+	}
+	if w := weightOf(g1, 0, 1); w != 1 {
+		t.Errorf("weight of re-added {0,1} = %d, want 1", w)
+	}
+	if idx, _ := g1.EdgeIndex(2, 3); g1.Sign(idx) != 1 {
+		t.Errorf("sign of re-added {2,3} = %d, want +1", g1.Sign(idx))
+	}
+	b.AddWeightedEdge(2, 1, 9)
+	b.AddEdge(0, 3)
+	g2 := b.Graph()
+	if g2.M() != 4 || weightOf(g2, 1, 2) != 9 || weightOf(g2, 0, 3) != 1 {
+		t.Errorf("second graph: m=%d w{1,2}=%d w{0,3}=%d, want 4 9 1", g2.M(), weightOf(g2, 1, 2), weightOf(g2, 0, 3))
+	}
+	if g1.M() != 3 || weightOf(g1, 1, 2) != 5 {
+		t.Errorf("first graph changed after more additions: m=%d w{1,2}=%d", g1.M(), weightOf(g1, 1, 2))
+	}
+}
+
 func TestEdgeOther(t *testing.T) {
 	e := Edge{U: 3, V: 7}
 	if e.Other(3) != 7 || e.Other(7) != 3 {
@@ -203,16 +243,12 @@ func TestSubgraphFromEdgeSetAndRemove(t *testing.T) {
 	if rem.M() != 3 {
 		t.Fatalf("rem.M = %d, want 3", rem.M())
 	}
-	sub2, _ := g.RemoveVertices(map[int]bool{0: true})
-	if sub2.N() != 4 || sub2.M() != 3 {
-		t.Fatalf("RemoveVertices got n=%d m=%d, want 4,3", sub2.N(), sub2.M())
-	}
 }
 
 func TestCutEdges(t *testing.T) {
 	g := Grid(2, 4)                                       // two rows of 4
 	s := map[int]bool{0: true, 1: true, 4: true, 5: true} // left half
-	cut := g.CutEdges(s)
+	cut := CutEdgesOf(g, s)
 	if len(cut) != 2 {
 		t.Fatalf("cut size = %d, want 2", len(cut))
 	}

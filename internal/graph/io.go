@@ -447,7 +447,7 @@ func (p *edgeListParser) edge(hdr edgeListHeader) (u, v int, w int64, s int8, er
 		return 0, 0, 0, 0, fmt.Errorf("graph: line %d: edge {%d,%d} out of range for n=%d: %w", line, ui, vi, hdr.n, ErrVertexRange)
 	}
 	if ui == vi {
-		return 0, 0, 0, 0, fmt.Errorf("graph: line %d: self-loop on vertex %d", line, ui)
+		return 0, 0, 0, 0, fmt.Errorf("graph: line %d: self-loop on vertex %d: %w", line, ui, ErrSelfLoop)
 	}
 	w, s = 1, 1
 	if hdr.weighted {

@@ -126,14 +126,6 @@ func NewOverlay(base G) *Overlay {
 	return o
 }
 
-// edgeKey returns the canonical sort key of edge {u, v}.
-func edgeKey(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(v)
-}
-
 // Base returns the immutable graph the overlay layers over.
 func (o *Overlay) Base() G { return o.base }
 
@@ -212,7 +204,7 @@ func (o *Overlay) ensureRank() {
 	p := 0
 	for bi := 0; bi < o.baseM; bi++ {
 		e := o.base.EdgeAt(bi)
-		k := edgeKey(e.U, e.V)
+		k := packEdge(e.U, e.V)
 		for p < len(o.insKeys) && o.insKeys[p] < k {
 			o.insGlobal[p] = int32(p) + live
 			p++
@@ -240,7 +232,8 @@ func (o *Overlay) findIns(key uint64) int {
 	return -1
 }
 
-// baseEdgeIndex locates edge {u, v} in the base graph (live or tombstoned).
+// baseEdgeIndex locates the canonical edge {u, v} (u < v) in the base graph
+// (live or tombstoned).
 func (o *Overlay) baseEdgeIndex(u, v int) (int, bool) {
 	if u >= o.baseN || v >= o.baseN {
 		return 0, false
@@ -248,13 +241,13 @@ func (o *Overlay) baseEdgeIndex(u, v int) (int, bool) {
 	if g, ok := o.base.(*Graph); ok {
 		return g.EdgeIndex(u, v)
 	}
-	k := edgeKey(u, v)
+	k := packEdge(u, v)
 	bi := sort.Search(o.baseM, func(i int) bool {
 		e := o.base.EdgeAt(i)
-		return edgeKey(e.U, e.V) >= k
+		return packEdge(e.U, e.V) >= k
 	})
 	if bi < o.baseM {
-		if e := o.base.EdgeAt(bi); edgeKey(e.U, e.V) == k {
+		if e := o.base.EdgeAt(bi); packEdge(e.U, e.V) == k {
 			return bi, true
 		}
 	}
@@ -280,8 +273,8 @@ func (o *Overlay) resolve(idx int) (bi, p int, isIns bool) {
 func (o *Overlay) EdgeAt(idx int) Edge {
 	bi, p, isIns := o.resolve(idx)
 	if isIns {
-		k := o.insKeys[p]
-		return Edge{U: int(k >> 32), V: int(k & math.MaxUint32)}
+		u, v := unpackEdge(o.insKeys[p])
+		return Edge{U: u, V: v}
 	}
 	return o.base.EdgeAt(bi)
 }
@@ -321,7 +314,7 @@ func (o *Overlay) ForEachNeighbor(v int, fn func(u, edgeIdx int)) {
 	emitIns := func(limit int32) {
 		for ri < len(row) && row[ri] < limit {
 			u := int(row[ri])
-			p := o.findIns(edgeKey(v, u))
+			p := o.findIns(packEdge(min(u, v), max(u, v)))
 			fn(u, int(o.insGlobal[p]))
 			ri++
 		}
@@ -343,10 +336,13 @@ func (o *Overlay) HasEdge(u, v int) bool {
 	if u < 0 || u >= o.n || v < 0 || v >= o.n || u == v {
 		return false
 	}
+	if u > v {
+		u, v = v, u
+	}
 	if bi, ok := o.baseEdgeIndex(u, v); ok {
 		return !o.dead[bi]
 	}
-	return o.findIns(edgeKey(u, v)) >= 0
+	return o.findIns(packEdge(u, v)) >= 0
 }
 
 // checkPair validates the endpoints of a mutation.
@@ -415,7 +411,7 @@ func (o *Overlay) addEdge(u, v int, w int64, s int8, isW, isS bool) error {
 	if o.M() >= math.MaxInt32/2 {
 		return fmt.Errorf("graph: edge {%d,%d}: m=%d exceeds the CSR int32 index range", u, v, o.M())
 	}
-	key := edgeKey(u, v)
+	key := packEdge(u, v)
 	p := sort.Search(len(o.insKeys), func(i int) bool { return o.insKeys[i] >= key })
 	if p < len(o.insKeys) && o.insKeys[p] == key {
 		return fmt.Errorf("graph: edge {%d,%d}: %w", u, v, ErrEdgeExists)
@@ -483,7 +479,7 @@ func (o *Overlay) DeleteEdge(u, v int) error {
 		o.rankDirty = true
 		return nil
 	}
-	p := o.findIns(edgeKey(u, v))
+	p := o.findIns(packEdge(u, v))
 	if p < 0 {
 		return fmt.Errorf("graph: edge {%d,%d}: %w", u, v, ErrEdgeMissing)
 	}
@@ -566,7 +562,8 @@ func (o *Overlay) ForEachDeleted(fn func(baseIdx int, e Edge)) {
 // ForEachInserted calls fn for every inserted edge in canonical order.
 func (o *Overlay) ForEachInserted(fn func(e Edge, w int64, s int8)) {
 	for p, k := range o.insKeys {
-		fn(Edge{U: int(k >> 32), V: int(k & math.MaxUint32)}, o.insW[p], o.insS[p])
+		u, v := unpackEdge(k)
+		fn(Edge{U: u, V: v}, o.insW[p], o.insS[p])
 	}
 }
 
@@ -576,8 +573,8 @@ func (o *Overlay) forEachLive(fn func(u, v int, w int64, s int8) error) error {
 	p := 0
 	emitIns := func(limit uint64) error {
 		for p < len(o.insKeys) && o.insKeys[p] < limit {
-			k := o.insKeys[p]
-			if err := fn(int(k>>32), int(k&math.MaxUint32), o.insW[p], o.insS[p]); err != nil {
+			u, v := unpackEdge(o.insKeys[p])
+			if err := fn(u, v, o.insW[p], o.insS[p]); err != nil {
 				return err
 			}
 			p++
@@ -589,7 +586,7 @@ func (o *Overlay) forEachLive(fn func(u, v int, w int64, s int8) error) error {
 			continue
 		}
 		e := o.base.EdgeAt(bi)
-		if err := emitIns(edgeKey(e.U, e.V)); err != nil {
+		if err := emitIns(packEdge(e.U, e.V)); err != nil {
 			return err
 		}
 		w, s := o.base.Weight(bi), o.base.Sign(bi)

@@ -7,18 +7,19 @@ import (
 
 // StreamingBuilder assembles a Graph from an edge stream in two passes with
 // O(1) work and zero allocations per edge: pass one counts degrees, pass two
-// writes the CSR arrays directly at their final positions. Unlike Builder it
-// keeps no pending edge buffer and no dedup map, so a 100M-edge graph costs
-// exactly its CSR arrays plus the edge list — nothing transient.
+// writes the CSR arrays directly at their final positions, so a 100M-edge
+// graph costs exactly its CSR arrays plus the edge list — nothing transient.
+// It is the only code that lays out CSR rows from edges: Builder, the
+// parallel generators and Overlay.Compact all feed it, so every
+// construction path yields the same canonical graph for the same edge set.
 //
 // The price of the direct placement is an ordering contract: edges must be
 // streamed in strictly increasing canonical order (U < V, sorted by (U, V),
 // no duplicates), and both passes must stream the same edges in the same
 // order. That is exactly the order WriteEdgeList and WriteBinary emit and
 // the order the streaming generators produce, so every on-disk source
-// satisfies it for free; arbitrary-order input belongs in Builder. The
-// resulting Graph is bit-identical to the Builder result for the same edge
-// set.
+// satisfies it for free; arbitrary-order input belongs in Builder, which
+// sorts and deduplicates before streaming.
 //
 // Protocol:
 //
@@ -79,7 +80,7 @@ func (sb *StreamingBuilder) checkEndpoints(u, v int) error {
 		return fmt.Errorf("graph: edge {%d,%d} out of range for n=%d: %w", u, v, sb.n, ErrVertexRange)
 	}
 	if u == v {
-		return fmt.Errorf("graph: self-loop on vertex %d", u)
+		return fmt.Errorf("graph: self-loop on vertex %d: %w", u, ErrSelfLoop)
 	}
 	return nil
 }
@@ -170,9 +171,9 @@ func (sb *StreamingBuilder) Place(u, v int, w int64, s int8) error {
 	if sb.cursor[u] >= sb.adjOff[u+1] || sb.cursor[v] >= sb.adjOff[v+1] {
 		return fmt.Errorf("graph: edge {%d,%d} overflows a CSR row (placement pass does not match the counting pass)", u, v)
 	}
-	// Identical placement to Builder.Graph: because edges arrive in canonical
-	// order, row v receives its lower neighbors first (ascending u), then its
-	// higher neighbors (ascending v), so every row comes out sorted.
+	// Because edges arrive in canonical order, row v receives its lower
+	// neighbors first (ascending u), then its higher neighbors (ascending v),
+	// so every row comes out sorted.
 	sb.adjTo[sb.cursor[u]] = int32(v)
 	sb.adjIdx[sb.cursor[u]] = int32(idx)
 	sb.cursor[u]++
@@ -206,3 +207,48 @@ func (sb *StreamingBuilder) Graph() (*Graph, error) {
 	sb.phase = 2
 	return g, nil
 }
+
+// assemble builds the graph on n vertices whose edge i is edge(i), for i in
+// [0, m), by running both StreamingBuilder passes over it. edge must return
+// canonical edges (u < v) in strictly increasing order, the same in both
+// passes; w is ignored unless weighted, s unless signed.
+func assemble(n, m int, weighted, signed bool, edge func(i int) (u, v int, w int64, s int8)) (*Graph, error) {
+	sb, err := NewStreamingBuilder(n, m, weighted, signed)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < m; i++ {
+		u, v, _, _ := edge(i)
+		if u >= v {
+			return nil, fmt.Errorf("graph: edge {%d,%d} is not canonical (u < v)", u, v)
+		}
+		if err := sb.Count(u, v); err != nil {
+			return nil, err
+		}
+	}
+	if err := sb.FinishCount(); err != nil {
+		return nil, err
+	}
+	for i := 0; i < m; i++ {
+		if err := sb.Place(edge(i)); err != nil {
+			return nil, err
+		}
+	}
+	return sb.Graph()
+}
+
+// fromSortedKeys assembles the unweighted graph on n vertices whose edges
+// are the packed keys, which must be strictly ascending.
+func fromSortedKeys(n int, keys []uint64) (*Graph, error) {
+	return assemble(n, len(keys), false, false, func(i int) (int, int, int64, int8) {
+		u, v := unpackEdge(keys[i])
+		return u, v, 1, 1
+	})
+}
+
+// packEdge encodes the canonical edge {u, v} (u < v) as a uint64 whose
+// numeric order is the canonical (U, V) order.
+func packEdge(u, v int) uint64 { return uint64(u)<<32 | uint64(v) }
+
+// unpackEdge is the inverse of packEdge.
+func unpackEdge(k uint64) (u, v int) { return int(k >> 32), int(k & math.MaxUint32) }

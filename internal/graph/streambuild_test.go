@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -220,4 +221,54 @@ func TestStreamingBuilderErrors(t *testing.T) {
 			t.Fatal("expected invalid sign error")
 		}
 	})
+}
+
+// TestSelfLoopSentinel: a self-loop wraps ErrSelfLoop on every streaming
+// path, as it does through Builder.TryAddEdge and Overlay.
+func TestSelfLoopSentinel(t *testing.T) {
+	read := func(text string) func() error {
+		return func() error {
+			_, err := ReadEdgeList(strings.NewReader(text))
+			return err
+		}
+	}
+	cases := []struct {
+		name string
+		run  func() error
+		line string // the line number the error must name, if any
+	}{
+		{"read-sorted", read("3 2\n0 1\n2 2\n"), "line 3"},
+		{"read-unsorted", read("4 3\n2 3\n0 1\n1 1\n"), "line 4"},
+		{"count", func() error {
+			sb, err := NewStreamingBuilder(3, 1, false, false)
+			if err != nil {
+				return err
+			}
+			return sb.Count(2, 2)
+		}, ""},
+		{"place", func() error {
+			sb, err := NewStreamingBuilder(3, 1, false, false)
+			if err != nil {
+				return err
+			}
+			if err := sb.Count(0, 1); err != nil {
+				return err
+			}
+			if err := sb.FinishCount(); err != nil {
+				return err
+			}
+			return sb.Place(2, 2, 1, 1)
+		}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run()
+			if !errors.Is(err, ErrSelfLoop) {
+				t.Fatalf("error %v does not wrap ErrSelfLoop", err)
+			}
+			if !strings.Contains(err.Error(), tc.line) {
+				t.Fatalf("error %q does not name %s", err, tc.line)
+			}
+		})
+	}
 }

@@ -312,10 +312,6 @@ func (s *View) Volume(vs []int) int {
 	return vol
 }
 
-// CutEdges returns the local indices of view edges with exactly one endpoint
-// in the local vertex set sel.
-func (s *View) CutEdges(sel map[int]bool) []int { return CutEdgesOf(s, sel) }
-
 // BFS runs a breadth-first search from local vertex src within the view.
 func (s *View) BFS(src int) (dist, parent []int) { return BFSOf(s, src) }
 

@@ -200,7 +200,7 @@ func TestQuickSeparatorConsistency(t *testing.T) {
 		if !sep.Balanced(n) {
 			return false
 		}
-		recount := len(g.CutEdges(sep.S))
+		recount := len(graph.CutEdgesOf(g, sep.S))
 		return recount == sep.CutSize
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
