@@ -15,15 +15,6 @@
 // the Builder's pending-edge buffer and assemble CSR arrays in parallel
 // (-workers); for er the streaming sampler draws from a different (equally
 // distributed) random stream than the buffered one.
-//
-// -churn N additionally emits a deterministic mutation stream of N edge
-// insert/delete ops for the generated graph (seeded by -churnseed,
-// splitmix64-derived like the streaming generators) to -churnout, in the
-// churn trace format of internal/graph — the same trace the serve smoke job
-// replays against /mutate and the churn benchmarks measure, so every
-// consumer shares one canonical op stream:
-//
-//	graphgen -family grid -n 4096 -o g.txt -churn 500 -churnseed 7 -churnout g.churn
 package main
 
 import (
@@ -50,9 +41,6 @@ func main() {
 	keepFlag := flag.Float64("keep", 0.6, "randplanar family: fraction of triangulation edges kept")
 	weightsFlag := flag.Int64("weights", 0, "attach uniform random weights in [1,W] (0 = unweighted)")
 	signsFlag := flag.Float64("signs", -1, "attach random signs with P[+] = value (negative = unsigned)")
-	churnFlag := flag.Int("churn", 0, "also emit a deterministic mutation stream of this many edge ops")
-	churnSeedFlag := flag.Int64("churnseed", 1, "seed for the churn stream")
-	churnOutFlag := flag.String("churnout", "", "churn trace output path (atomic write; required with -churn)")
 	flag.Parse()
 
 	cfg := genConfig{
@@ -90,24 +78,6 @@ func main() {
 	if err := emit(*outFlag, write); err != nil {
 		fmt.Fprintf(os.Stderr, "graphgen: %v\n", err)
 		os.Exit(1)
-	}
-
-	if *churnFlag > 0 {
-		if *churnOutFlag == "" {
-			fmt.Fprintln(os.Stderr, "graphgen: -churn requires -churnout (the graph already owns stdout)")
-			os.Exit(2)
-		}
-		ops, err := graph.GenerateChurn(g, *churnFlag, *churnSeedFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "graphgen: churn: %v\n", err)
-			os.Exit(1)
-		}
-		if err := emit(*churnOutFlag, func(w io.Writer) error {
-			return graph.WriteChurn(w, ops)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "graphgen: churn: %v\n", err)
-			os.Exit(1)
-		}
 	}
 }
 

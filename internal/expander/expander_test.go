@@ -3,6 +3,7 @@ package expander
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -386,5 +387,36 @@ func TestDecomposeHypercube(t *testing.T) {
 	}
 	if !rep.Connected {
 		t.Error("hypercube cluster disconnected")
+	}
+}
+
+// TestDecomposeAllocBound pins the allocation cost of a sequential
+// decomposition at the E4 scale (16×16 grid, ε = 0.25, seed 2022): at most
+// half the 319,352 B/op of the materializing implementation that views
+// replaced, and at most the 134 allocs/op recorded when the bound was set.
+// Both counts are deterministic, so any growth is a real regression.
+func TestDecomposeAllocBound(t *testing.T) {
+	g := graph.Grid(16, 16)
+	decompose := func() {
+		if _, err := Decompose(g, 0.25, Options{Seed: 2022}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decompose() // warm up
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decompose()
+	}
+	runtime.ReadMemStats(&after)
+	bytesPerOp := (after.TotalAlloc - before.TotalAlloc) / runs
+	allocsPerOp := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("Decompose(Grid(16, 16), 0.25): %d B/op, %d allocs/op", bytesPerOp, allocsPerOp)
+	if bytesPerOp > 319_352/2 {
+		t.Errorf("Decompose allocates %d B/op, want <= %d (half the materializing baseline)", bytesPerOp, 319_352/2)
+	}
+	if allocsPerOp > 134 {
+		t.Errorf("Decompose makes %d allocs/op, want <= 134", allocsPerOp)
 	}
 }

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // BiconnectedComponents returns the biconnected components of g as slices of
 // edge indices, computed with Hopcroft–Tarjan lowpoint DFS (iterative, so
 // deep planar graphs do not overflow the stack). Bridges form their own
@@ -123,6 +125,6 @@ func (g *Graph) Bridges() []int {
 			bridges = append(bridges, comp[0])
 		}
 	}
-	sortInts(bridges)
+	slices.Sort(bridges)
 	return bridges
 }

@@ -1,177 +1,14 @@
 package graph
 
-import (
-	"fmt"
-	"io"
-	"math"
-	"strconv"
-)
-
-// Churn traces are the canonical on-disk form of a mutation stream: the
-// format cmd/graphgen -churn emits, cmd/loadgen replays against /mutate, and
-// the churn benchmarks consume, so every consumer measures the same ops.
-//
-// The format is line-oriented text:
-//
-//	churn <count>
-//	+ <u> <v> [<weight>]   edge insert (weight > 0 makes it a weighted insert)
-//	- <u> <v>              edge delete
-//	+v                     vertex add
-//	-v <u>                 vertex delete (isolate + tombstone)
-//
-// one op per line, exactly <count> op lines. Parsing validates every field
-// and reports malformed input — non-numeric tokens, negative IDs, unknown
-// verbs, wrong field counts — with its 1-based line number. Whether an op
-// applies cleanly (the edge exists, the vertex is live) is a property of the
-// graph it is applied to, so that is checked at Overlay.Apply time, not here.
-
-// WriteChurn writes ops in the churn trace format.
-func WriteChurn(w io.Writer, ops []Op) error {
-	bw := newFlushWriter(w)
-	buf := make([]byte, 0, 64)
-	buf = append(buf, "churn "...)
-	buf = strconv.AppendInt(buf, int64(len(ops)), 10)
-	buf = append(buf, '\n')
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
-	for i, op := range ops {
-		buf = buf[:0]
-		switch op.Kind {
-		case OpAddEdge:
-			buf = append(buf, "+ "...)
-			buf = strconv.AppendInt(buf, int64(op.U), 10)
-			buf = append(buf, ' ')
-			buf = strconv.AppendInt(buf, int64(op.V), 10)
-			if op.W != 0 {
-				buf = append(buf, ' ')
-				buf = strconv.AppendInt(buf, op.W, 10)
-			}
-		case OpDeleteEdge:
-			buf = append(buf, "- "...)
-			buf = strconv.AppendInt(buf, int64(op.U), 10)
-			buf = append(buf, ' ')
-			buf = strconv.AppendInt(buf, int64(op.V), 10)
-		case OpAddVertex:
-			buf = append(buf, "+v"...)
-		case OpDeleteVertex:
-			buf = append(buf, "-v "...)
-			buf = strconv.AppendInt(buf, int64(op.U), 10)
-		default:
-			return fmt.Errorf("graph: op %d: unknown op kind %d", i, op.Kind)
-		}
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadChurn parses a churn trace produced by WriteChurn, reporting malformed
-// input with its 1-based line number.
-func ReadChurn(r io.Reader) ([]Op, error) {
-	p := newEdgeListParser(r)
-	if _, err := p.peek(); err != nil {
-		return nil, err
-	}
-	if p.atEOF() {
-		return nil, fmt.Errorf("graph: empty churn input")
-	}
-	tok, err := p.parseWord()
-	if err != nil {
-		return nil, err
-	}
-	if tok != "churn" {
-		return nil, fmt.Errorf("graph: line %d: expected %q header, got %q", p.line, "churn", tok)
-	}
-	cnt, err := p.parseInt("op count")
-	if err != nil {
-		return nil, err
-	}
-	if cnt < 0 || cnt > math.MaxInt32 {
-		return nil, fmt.Errorf("graph: line %d: op count %d out of range", p.line, cnt)
-	}
-	if err := p.endLine(); err != nil {
-		return nil, err
-	}
-	ops := make([]Op, 0, cnt)
-	for i := int64(0); i < cnt; i++ {
-		line := p.line
-		if p.atEOF() {
-			return nil, fmt.Errorf("graph: line %d: expected %d ops, input ended after %d", line, cnt, i)
-		}
-		verb, err := p.parseWord()
-		if err != nil {
-			return nil, err
-		}
-		var op Op
-		switch verb {
-		case "+", "-":
-			if verb == "+" {
-				op.Kind = OpAddEdge
-			} else {
-				op.Kind = OpDeleteEdge
-			}
-			u, err := p.parseInt("endpoint")
-			if err != nil {
-				return nil, err
-			}
-			v, err := p.parseInt("endpoint")
-			if err != nil {
-				return nil, err
-			}
-			if u < 0 || u > math.MaxInt32 || v < 0 || v > math.MaxInt32 {
-				return nil, fmt.Errorf("graph: line %d: edge {%d,%d}: %w", line, u, v, ErrVertexRange)
-			}
-			op.U, op.V = int(u), int(v)
-			if op.Kind == OpAddEdge {
-				if err := p.skipSpaces(); err != nil {
-					return nil, err
-				}
-				if c, err := p.peek(); err != nil {
-					return nil, err
-				} else if !p.atEOF() && c != '\n' {
-					w, err := p.parseInt("weight")
-					if err != nil {
-						return nil, err
-					}
-					if w <= 0 {
-						return nil, fmt.Errorf("graph: line %d: non-positive weight %d", line, w)
-					}
-					op.W = w
-				}
-			}
-		case "+v":
-			op.Kind = OpAddVertex
-		case "-v":
-			op.Kind = OpDeleteVertex
-			u, err := p.parseInt("vertex")
-			if err != nil {
-				return nil, err
-			}
-			if u < 0 || u > math.MaxInt32 {
-				return nil, fmt.Errorf("graph: line %d: vertex %d: %w", line, u, ErrVertexRange)
-			}
-			op.U = int(u)
-		default:
-			return nil, fmt.Errorf("graph: line %d: unknown op verb %q", line, verb)
-		}
-		if err := p.endLine(); err != nil {
-			return nil, err
-		}
-		ops = append(ops, op)
-	}
-	return ops, nil
-}
+import "fmt"
 
 // GenerateChurn produces a deterministic stream of count edge mutations for
 // base: a ~50/50 mix of inserts (fresh random non-edges, weighted/signed to
 // match the base graph's annotations) and deletes (uniform over the edges
 // live at that point in the stream). The stream is generated against a
 // scratch overlay, so every op is guaranteed to apply cleanly when replayed
-// in order on base — the property that lets benchmarks, the serve smoke job,
-// and tests share one trace without failure-handling divergence. The
+// in order on base — the property that lets the benchmark's churn workload
+// and tests replay a stream without handling failures. The
 // sequence depends only on (base, count, seed), splitmix64-derived like the
 // streaming generators.
 func GenerateChurn(base G, count int, seed int64) ([]Op, error) {

@@ -79,8 +79,7 @@
 // materializes the overlay through StreamingBuilder into a canonical
 // *Graph, byte-identical through the binary codec; DeltaFraction and
 // NeedsCompact (DefaultCompactThreshold) say when that is worth paying.
-// Deterministic mutation streams come from GenerateChurn and round-trip
-// through WriteChurn/ReadChurn in a line-oriented trace format with
-// line-numbered parse errors. See DESIGN.md §3.16 for the delta layout and
-// how the expander package consumes overlays incrementally.
+// Deterministic mutation streams come from GenerateChurn. See DESIGN.md
+// §3.16 for the delta layout and how the expander package consumes overlays
+// incrementally.
 package graph

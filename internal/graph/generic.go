@@ -93,7 +93,7 @@ func ComponentsOf(g G) [][]int {
 	for i := range comp {
 		comp[i] = -1
 	}
-	var comps [][]int
+	var sizes []int
 	// As in BFSOf: a head-index queue with worst-case capacity plus a
 	// hoisted visitor, so component discovery allocates O(components), not
 	// O(vertices).
@@ -110,21 +110,25 @@ func ComponentsOf(g G) [][]int {
 		if comp[v] != -1 {
 			continue
 		}
-		id = len(comps)
+		id = len(sizes)
 		queue = append(queue[:0], v)
 		head = 0
 		comp[v] = id
-		var members []int
 		for head < len(queue) {
 			u := queue[head]
 			head++
-			members = append(members, u)
 			g.ForEachNeighbor(u, visit)
 		}
-		comps = append(comps, members)
+		sizes = append(sizes, len(queue))
 	}
-	for _, c := range comps {
-		sortInts(c)
+	// BFS order is not vertex order; one ascending sweep over the labels
+	// fills every member list already sorted.
+	comps := make([][]int, len(sizes))
+	for id, size := range sizes {
+		comps[id] = make([]int, 0, size)
+	}
+	for v, id := range comp {
+		comps[id] = append(comps[id], v)
 	}
 	return comps
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -311,6 +312,18 @@ func TestComponents(t *testing.T) {
 	ids := g.ComponentIDs()
 	if ids[0] != ids[1] || ids[0] == ids[3] {
 		t.Errorf("ComponentIDs wrong: %v", ids)
+	}
+
+	// Interleaved components whose BFS order runs downward (0 5 4 3 and
+	// 1 7 6 2): members still come out ascending, components by smallest
+	// vertex.
+	b := NewBuilder(9)
+	for _, e := range [][2]int{{0, 5}, {5, 4}, {4, 3}, {1, 7}, {7, 6}, {6, 2}} {
+		b.AddEdge(e[0], e[1])
+	}
+	want := [][]int{{0, 3, 4, 5}, {1, 2, 6, 7}, {8}}
+	if got := b.Graph().Components(); !reflect.DeepEqual(got, want) {
+		t.Errorf("interleaved components = %v, want %v", got, want)
 	}
 }
 

@@ -638,7 +638,7 @@ func (o *Overlay) String() string {
 // OpKind enumerates overlay mutation operations.
 type OpKind uint8
 
-// The mutation operation kinds, in the order the trace format names them.
+// The mutation operation kinds.
 const (
 	// OpAddEdge inserts edge {U, V}; W > 0 makes it a weighted insert.
 	OpAddEdge OpKind = iota
@@ -650,7 +650,7 @@ const (
 	OpDeleteVertex
 )
 
-// String returns the trace-format verb of the op kind.
+// String returns the op kind's verb in a POST /mutate batch.
 func (k OpKind) String() string {
 	switch k {
 	case OpAddEdge:
@@ -666,7 +666,7 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one graph mutation, the unit of churn traces and /mutate batches.
+// Op is one graph mutation, the unit of churn streams and /mutate batches.
 type Op struct {
 	Kind OpKind
 	U, V int

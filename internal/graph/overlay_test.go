@@ -1,10 +1,8 @@
 package graph
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -257,57 +255,6 @@ func TestGenerateChurnDeterministicAndAppliable(t *testing.T) {
 	}
 	if _, err := ov.Compact(); err != nil {
 		t.Fatalf("Compact after churn: %v", err)
-	}
-}
-
-func TestChurnTraceRoundTrip(t *testing.T) {
-	ops := []Op{
-		{Kind: OpAddEdge, U: 0, V: 5},
-		{Kind: OpAddEdge, U: 2, V: 3, W: 17},
-		{Kind: OpDeleteEdge, U: 1, V: 4},
-		{Kind: OpAddVertex},
-		{Kind: OpDeleteVertex, U: 2},
-	}
-	var buf bytes.Buffer
-	if err := WriteChurn(&buf, ops); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadChurn(&buf)
-	if err != nil {
-		t.Fatalf("ReadChurn: %v\ntrace:\n%s", err, buf.String())
-	}
-	if len(got) != len(ops) {
-		t.Fatalf("round trip: %d ops, want %d", len(got), len(ops))
-	}
-	for i := range ops {
-		if got[i] != ops[i] {
-			t.Fatalf("op %d: %+v, want %+v", i, got[i], ops[i])
-		}
-	}
-}
-
-func TestChurnTraceErrors(t *testing.T) {
-	cases := []struct {
-		name, input, wantSub string
-	}{
-		{"empty", "", "empty churn"},
-		{"bad header", "chrun 2\n", `expected "churn"`},
-		{"negative id", "churn 1\n+ -1 2\n", "line 2"},
-		{"unknown verb", "churn 1\n* 1 2\n", "line 2"},
-		{"truncated", "churn 3\n+ 0 1\n", "line 3"},
-		{"bad weight", "churn 1\n+ 0 1 0\n", "line 2"},
-		{"garbage fields", "churn 1\n- 0 1 2\n", "line 2"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := ReadChurn(strings.NewReader(c.input))
-			if err == nil {
-				t.Fatalf("ReadChurn(%q) succeeded", c.input)
-			}
-			if !strings.Contains(err.Error(), c.wantSub) {
-				t.Fatalf("ReadChurn(%q) error %q does not mention %q", c.input, err, c.wantSub)
-			}
-		})
 	}
 }
 

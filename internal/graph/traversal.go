@@ -123,13 +123,3 @@ func (g *Graph) HasCycle() bool {
 	}
 	return false
 }
-
-func sortInts(a []int) {
-	// Insertion sort: component slices are produced nearly sorted and this
-	// avoids pulling in sort for a hot path; correctness over cleverness.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
-}

@@ -1,6 +1,8 @@
 package primitives
 
 import (
+	"fmt"
+
 	"expandergap/internal/congest"
 	"expandergap/internal/graph"
 )
@@ -23,6 +25,10 @@ type diamCheckHandler struct {
 // vertex is marked; if the diameter is at least 2b+1, every vertex is
 // marked. Marked vertices know the clustering step failed and should reset
 // to singleton clusters.
+//
+// The schedule is fixed by b: the ID exchange plus 3b+4 phase rounds. When
+// those 3b+5 rounds exceed the simulator's round limit, DiameterCheck fails
+// with congest.ErrMaxRounds before its first round.
 func DiameterCheck(g *graph.Graph, cfg congest.Config, cluster ClusterAssignment, b int) ([]bool, congest.Metrics, error) {
 	if err := cluster.Validate(g); err != nil {
 		return nil, congest.Metrics{}, err
@@ -30,6 +36,10 @@ func DiameterCheck(g *graph.Graph, cfg congest.Config, cluster ClusterAssignment
 	cfg.Obs.BeginPhase("diameter-check")
 	defer cfg.Obs.EndPhase()
 	sim := congest.NewSimulator(g, cfg)
+	if need, limit := 3*b+5, sim.Config().MaxRounds; need > limit {
+		return nil, congest.Metrics{}, fmt.Errorf("primitives: diameter check needs %d rounds for b = %d, over the %d-round limit: %w",
+			need, b, limit, congest.ErrMaxRounds)
+	}
 	res, err := sim.Run(func(v *congest.Vertex) congest.Handler {
 		return &diamCheckHandler{
 			clusterBase: clusterBase{clusterID: cluster[v.ID()]},

@@ -264,6 +264,11 @@ type LeaderResult struct {
 // same-cluster degree (ties broken by larger ID), by flooding (deg, ID)
 // pairs for budget rounds. budget must be at least the maximum cluster
 // diameter.
+//
+// The schedule is fixed by budget: the ID exchange plus budget phase rounds,
+// and one more to deliver a candidate that improved in the output round.
+// When those budget+2 rounds exceed the simulator's round limit,
+// ElectLeaders fails with congest.ErrMaxRounds before its first round.
 func ElectLeaders(g *graph.Graph, cfg congest.Config, cluster ClusterAssignment, budget int) (LeaderResult, congest.Metrics, error) {
 	if err := cluster.Validate(g); err != nil {
 		return LeaderResult{}, congest.Metrics{}, err
@@ -271,6 +276,10 @@ func ElectLeaders(g *graph.Graph, cfg congest.Config, cluster ClusterAssignment,
 	cfg.Obs.BeginPhase("elect-leaders")
 	defer cfg.Obs.EndPhase()
 	sim := congest.NewSimulator(g, cfg)
+	if need, limit := budget+2, sim.Config().MaxRounds; need > limit {
+		return LeaderResult{}, congest.Metrics{}, fmt.Errorf("primitives: leader election needs %d rounds for budget %d, over the %d-round limit: %w",
+			need, budget, limit, congest.ErrMaxRounds)
+	}
 	res, err := sim.Run(func(v *congest.Vertex) congest.Handler {
 		return &leaderHandler{
 			clusterBase: clusterBase{clusterID: cluster[v.ID()]},

@@ -1,7 +1,11 @@
 package primitives
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"expandergap/internal/congest"
@@ -337,5 +341,59 @@ func TestDiameterCheckBoundaryRespectsClusters(t *testing.T) {
 		if !marked[v] {
 			t.Errorf("long cluster vertex %d should be marked", v)
 		}
+	}
+}
+
+// The §2.3 diameter check and leader election run schedules fixed by their
+// bound (3b+5 rounds, and at most budget+2), so a bound whose schedule cannot
+// fit the simulator's round limit fails before the first round instead of
+// stepping until the limit, naming both numbers. A limit that fits exactly
+// runs and matches the default cap. On a 12-vertex path both bounds are
+// short of the diameter, so the check marks vertices and the election still
+// sends in its output round.
+func TestFixedSchedulesFailFastOverRoundLimit(t *testing.T) {
+	g := graph.Path(12)
+	cluster := Uniform(g.N())
+	phases := []struct {
+		name string
+		need int
+		run  func(cfg congest.Config) (any, congest.Metrics, error)
+	}{
+		{"diameter-check", 3*3 + 5, func(cfg congest.Config) (any, congest.Metrics, error) {
+			return DiameterCheck(g, cfg, cluster, 3)
+		}},
+		{"elect-leaders", 3 + 2, func(cfg congest.Config) (any, congest.Metrics, error) {
+			return ElectLeaders(g, cfg, cluster, 3)
+		}},
+	}
+	for _, ph := range phases {
+		t.Run(ph.name, func(t *testing.T) {
+			want, wantM, err := ph.run(congest.Config{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantM.Rounds != ph.need {
+				t.Fatalf("default cap: %d rounds, want %d", wantM.Rounds, ph.need)
+			}
+			_, m, err := ph.run(congest.Config{Seed: 1, MaxRounds: ph.need - 1})
+			if !errors.Is(err, congest.ErrMaxRounds) {
+				t.Fatalf("err = %v, want ErrMaxRounds", err)
+			}
+			for _, n := range []int{ph.need, ph.need - 1} {
+				if !strings.Contains(err.Error(), strconv.Itoa(n)) {
+					t.Errorf("error %q does not name %d", err, n)
+				}
+			}
+			if m != (congest.Metrics{}) {
+				t.Errorf("stepped before failing: %+v", m)
+			}
+			got, m, err := ph.run(congest.Config{Seed: 1, MaxRounds: ph.need})
+			if err != nil {
+				t.Fatalf("exact fit refused: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) || m != wantM {
+				t.Errorf("exact fit: %v %+v, want %v %+v", got, m, want, wantM)
+			}
+		})
 	}
 }

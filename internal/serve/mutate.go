@@ -28,8 +28,8 @@ import (
 // re-baselining escape hatch for ε-budget drift; see the staleness note on
 // DecomposeIncremental).
 
-// MutateOp is the wire form of one mutation, mirroring the churn trace
-// verbs: "+" edge insert (optional positive weight), "-" edge delete, "+v"
+// MutateOp is the wire form of one graph.Op, its verb graph.OpKind's
+// String: "+" edge insert (optional positive weight), "-" edge delete, "+v"
 // vertex add, "-v" vertex delete.
 type MutateOp struct {
 	Op string `json:"op"`

@@ -128,9 +128,9 @@ func TestMutateErrors(t *testing.T) {
 }
 
 // TestMutateChurnTrace replays a generated churn stream through the HTTP
-// endpoint in batches — the serve-smoke shape. Every batch must apply
-// cleanly because GenerateChurn builds ops against the same evolving state
-// the server maintains.
+// endpoint in batches, as the churn benchmark workload does. Every batch
+// must apply cleanly because GenerateChurn builds ops against the same
+// evolving state the server maintains.
 func TestMutateChurnTrace(t *testing.T) {
 	path := writeTestGraph(t, 24)
 	srv, ts := newTestServer(t, path, 0)

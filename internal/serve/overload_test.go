@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 )
 
 // overloadServer builds a server with a single-worker, depth-1 run pool
@@ -146,10 +147,15 @@ func TestOverloadBackpressure(t *testing.T) {
 		return false
 	})
 
-	// Cache hits keep being served while the pool is full.
+	// Cache hits keep being served while the pool is full, each within 5 s.
 	for i := 0; i < 5; i++ {
+		start := time.Now()
 		if qr, status := postQuery(t, ts.URL, "mis", `{"seed": 1}`); status != http.StatusOK || !qr.Cached {
 			t.Fatalf("cache hit under overload: status %d, cached %v", status, qr != nil && qr.Cached)
+		}
+		// Errorf, not Fatalf: the held runs must still drain below.
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("cache hit under overload took %v, want <= 5s", d)
 		}
 	}
 

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -379,6 +382,67 @@ func TestSwapTorture(t *testing.T) {
 	}
 	if got := srv.Epoch(); got != 1+reloads {
 		t.Fatalf("final epoch %d, want %d", got, 1+reloads)
+	}
+}
+
+// TestCacheHitLatencyUnderConcurrency checks that cache hits stay on their
+// fast path as closed-loop concurrency grows: with one warmed key and 10
+// requests per client, the cache-hit p99 at 128 clients stays within
+// max(25× the 16-client p99, 250 ms). The server keeps the default run pool,
+// so a hit that queued for a run slot would be rejected at this fan-out;
+// every answer must be a 200 cache hit. Run with -race.
+func TestCacheHitLatencyUnderConcurrency(t *testing.T) {
+	srv, err := New(Config{Spec: Spec{Path: writeTestGraph(t, 24), Eps: 0.3, Seed: 1}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 128}}
+	defer client.CloseIdleConnections()
+
+	const body = `{"seed": 1}`
+	if _, status := postQuery(t, ts.URL, "mis", body); status != http.StatusOK {
+		t.Fatalf("warmup: status %d", status)
+	}
+	p99 := func(clients int) time.Duration {
+		const perClient = 10
+		lats := make([]time.Duration, clients*perClient)
+		var misses atomic.Int64
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < perClient; i++ {
+					start := time.Now()
+					resp, err := client.Post(ts.URL+"/query/mis", "application/json", strings.NewReader(body))
+					if err != nil {
+						misses.Add(1)
+						continue
+					}
+					data, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					lats[c*perClient+i] = time.Since(start)
+					var qr QueryResponse
+					if err != nil || resp.StatusCode != http.StatusOK || json.Unmarshal(data, &qr) != nil || !qr.Cached {
+						misses.Add(1)
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		if n := misses.Load(); n != 0 {
+			t.Fatalf("%d clients: %d of %d answers were not 200 cache hits", clients, n, len(lats))
+		}
+		slices.Sort(lats)
+		return lats[int(0.99*float64(len(lats)-1))]
+	}
+	ref, top := p99(16), p99(128)
+	limit := max(25*ref, 250*time.Millisecond)
+	t.Logf("cache-hit p99: %v at 16 clients, %v at 128 (limit %v)", ref, top, limit)
+	if top > limit {
+		t.Errorf("cache-hit p99 %v at 128 clients exceeds %v (25x the 16-client %v, floor 250ms)", top, limit, ref)
 	}
 }
 
