@@ -260,6 +260,117 @@ func MixingTime(g graph.G, maxSteps int) (int, bool) {
 	return maxSteps, false
 }
 
+// walkKernel is the power iteration behind SpectralGap and FiedlerScores,
+// on the symmetrized lazy walk S = D^{-1/2} W D^{1/2} of one graph, where
+// W = I/2 + A D^{-1}/2 acts on column distributions; symmetric form:
+// S = I/2 + D^{-1/2} A D^{-1/2} / 2. It holds the graph's CSR adjacency and
+// the weights sqrtD, which scale S and span its top eigenvector d^{1/2}. It
+// is read-only once built, so iterations may share it concurrently.
+type walkKernel struct {
+	off, to []int32
+	sqrtD   []float64
+	// dd is Σ sqrtD[i]², summed in index order, which deflate divides by.
+	dd float64
+}
+
+// newWalkKernel builds the kernel over the CSR off/to with weights
+// √(deg + shift). SpectralGap uses shift 0; FiedlerScores uses 1e-12, so
+// every vertex has a nonzero weight to divide its score by.
+func newWalkKernel(off, to []int32, shift float64) walkKernel {
+	k := walkKernel{off: off, to: to, sqrtD: make([]float64, len(off)-1)}
+	for v := range k.sqrtD {
+		k.sqrtD[v] = math.Sqrt(float64(off[v+1]-off[v]) + shift)
+		k.dd += k.sqrtD[v] * k.sqrtD[v]
+	}
+	return k
+}
+
+// drawStart fills x with the start vector of one power iteration, one
+// rng.Float64() − 0.5 per vertex in vertex order: all the randomness an
+// iteration consumes.
+func drawStart(x []float64, rng *rand.Rand) {
+	for i := range x {
+		x[i] = rng.Float64() - 0.5
+	}
+}
+
+// iterate deflates and normalizes the start vector x, then runs iters
+// power-iteration steps (apply, deflate, normalize), using y as scratch; both
+// are overwritten. It returns the final iterate, which x or y holds, and with
+// rayleigh set the last Rayleigh quotient ⟨S x, x⟩/⟨x, x⟩ of a deflated
+// iterate (0 after no steps).
+func (k walkKernel) iterate(x, y []float64, iters int, rayleigh bool) ([]float64, float64) {
+	k.deflate(x)
+	normalize(x)
+	lambda := 0.0
+	for it := 0; it < iters; it++ {
+		k.apply(y, x)
+		k.deflate(y)
+		if rayleigh {
+			var num, den float64
+			for i := range y {
+				num += y[i] * x[i]
+				den += x[i] * x[i]
+			}
+			if den > 0 {
+				lambda = num / den
+			}
+		}
+		normalize(y)
+		x, y = y, x
+	}
+	return x, lambda
+}
+
+// apply sets dst = S·src. Each dst[u] sums its terms in ascending neighbor
+// order; dst and src must not overlap.
+func (k walkKernel) apply(dst, src []float64) {
+	off, to, sqrtD := k.off, k.to, k.sqrtD
+	for i := range dst {
+		dst[i] = src[i] / 2
+	}
+	for v, sv := range src {
+		if off[v+1] == off[v] {
+			dst[v] += sv / 2
+			continue
+		}
+		dv := sqrtD[v]
+		for _, u := range to[off[v]:off[v+1]] {
+			dst[u] += sv / (2 * sqrtD[u] * dv)
+		}
+	}
+}
+
+// deflate removes x's component along sqrtD, S's top eigenvector.
+func (k walkKernel) deflate(x []float64) {
+	if k.dd == 0 {
+		return
+	}
+	var dot float64
+	for i := range x {
+		dot += x[i] * k.sqrtD[i]
+	}
+	c := dot / k.dd
+	for i := range x {
+		x[i] -= c * k.sqrtD[i]
+	}
+}
+
+// normalize scales x to unit Euclidean norm; a zero vector stays zero.
+func normalize(x []float64) {
+	var s float64
+	for _, xi := range x {
+		s += xi * xi
+	}
+	s = math.Sqrt(s)
+	if s == 0 {
+		return
+	}
+	for i := range x {
+		x[i] /= s
+	}
+}
+
 // SpectralGap estimates 1 − λ2 of the lazy random walk transition matrix by
 // power iteration with deflation against the stationary component, using the
 // symmetric normalization D^{-1/2} W D^{1/2}. Returns the gap estimate.
@@ -269,79 +380,11 @@ func SpectralGap(g graph.G, iters int, rng *rand.Rand) float64 {
 	if n <= 1 {
 		return 1
 	}
-	// Top eigenvector of the symmetrized lazy walk is d^{1/2}.
-	sqrtD := make([]float64, n)
-	for v := 0; v < n; v++ {
-		sqrtD[v] = math.Sqrt(float64(g.Degree(v)))
-	}
-	normalize := func(x []float64) {
-		var s float64
-		for _, xi := range x {
-			s += xi * xi
-		}
-		s = math.Sqrt(s)
-		if s == 0 {
-			return
-		}
-		for i := range x {
-			x[i] /= s
-		}
-	}
-	deflate := func(x []float64) {
-		var dot, dd float64
-		for i := range x {
-			dot += x[i] * sqrtD[i]
-			dd += sqrtD[i] * sqrtD[i]
-		}
-		if dd == 0 {
-			return
-		}
-		c := dot / dd
-		for i := range x {
-			x[i] -= c * sqrtD[i]
-		}
-	}
-	// S = D^{-1/2} W D^{1/2} where W = I/2 + A D^{-1}/2 acting on column
-	// distributions; symmetric form: S = I/2 + D^{-1/2} A D^{-1/2} / 2.
 	off, to := flatAdj(g)
-	apply := func(dst, src []float64) {
-		for i := range dst {
-			dst[i] = src[i] / 2
-		}
-		for v := 0; v < n; v++ {
-			if off[v+1] == off[v] {
-				dst[v] += src[v] / 2
-				continue
-			}
-			for a := off[v]; a < off[v+1]; a++ {
-				u := to[a]
-				dst[u] += src[v] / (2 * sqrtD[u] * sqrtD[v])
-			}
-		}
-	}
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = rng.Float64() - 0.5
-	}
-	deflate(x)
-	normalize(x)
-	lambda := 0.0
-	for it := 0; it < iters; it++ {
-		apply(y, x)
-		deflate(y)
-		// Rayleigh quotient estimate.
-		var num, den float64
-		for i := range y {
-			num += y[i] * x[i]
-			den += x[i] * x[i]
-		}
-		if den > 0 {
-			lambda = num / den
-		}
-		copy(x, y)
-		normalize(x)
-	}
+	k := newWalkKernel(off, to, 0)
+	vecs := make([]float64, 2*n)
+	drawStart(vecs[:n], rng)
+	_, lambda := k.iterate(vecs[:n], vecs[n:], iters, true)
 	return 1 - lambda
 }
 
@@ -418,81 +461,59 @@ func SweepCut(g graph.G, score []float64) (map[int]bool, float64) {
 	return s, bestPhi
 }
 
+// Fiedler holds what the FiedlerScores power iterations on one graph share,
+// read-only: the graph's CSR adjacency and its √deg weights. FiedlerScores is
+// one Start followed by one Scores. A caller that sweeps from several starts
+// draws every start vector with Start on its own goroutine, in order, and may
+// then run the Scores calls concurrently.
+type Fiedler struct {
+	k walkKernel
+}
+
+// NewFiedler prepares the FiedlerScores power iterations on g.
+func NewFiedler(g graph.G) Fiedler {
+	off, to := flatAdj(g)
+	return Fiedler{newWalkKernel(off, to, 1e-12)}
+}
+
+// Start draws the start vector of one power iteration into x, of length
+// g.N(). It consumes one rng.Float64 per vertex, or none on graphs of at most
+// 2 vertices, whose scores need no iteration.
+func (f Fiedler) Start(x []float64, rng *rand.Rand) {
+	if len(f.k.sqrtD) > 2 {
+		drawStart(x, rng)
+	}
+}
+
+// Scores runs iters power iterations from the start vector x that Start drew,
+// using y as scratch of the same length, and returns the scores, written over
+// x or y. Graphs of at most 2 vertices score each vertex by its ID.
+func (f Fiedler) Scores(x, y []float64, iters int) []float64 {
+	if len(f.k.sqrtD) <= 2 {
+		for i := range x {
+			x[i] = float64(i)
+		}
+		return x
+	}
+	x, _ = f.k.iterate(x, y, iters, false)
+	for v := range x {
+		x[v] /= f.k.sqrtD[v]
+	}
+	return x
+}
+
 // FiedlerScores returns an approximate second eigenvector of the symmetrized
 // lazy walk (rescaled to act as per-vertex scores), suitable for SweepCut.
 func FiedlerScores(g graph.G, iters int, rng *rand.Rand) []float64 {
 	n := g.N()
-	scores := make([]float64, n)
-	if n <= 2 {
-		for i := range scores {
-			scores[i] = float64(i)
-		}
-		return scores
-	}
-	sqrtD := make([]float64, n)
-	for v := 0; v < n; v++ {
-		sqrtD[v] = math.Sqrt(float64(g.Degree(v)) + 1e-12)
-	}
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = rng.Float64() - 0.5
-	}
-	deflate := func(v []float64) {
-		var dot, dd float64
-		for i := range v {
-			dot += v[i] * sqrtD[i]
-			dd += sqrtD[i] * sqrtD[i]
-		}
-		c := dot / dd
-		for i := range v {
-			v[i] -= c * sqrtD[i]
-		}
-	}
-	normalize := func(v []float64) {
-		var s float64
-		for _, vi := range v {
-			s += vi * vi
-		}
-		s = math.Sqrt(s)
-		if s == 0 {
-			return
-		}
-		for i := range v {
-			v[i] /= s
-		}
-	}
-	off, to := flatAdj(g)
-	apply := func(dst, src []float64) {
-		for i := range dst {
-			dst[i] = src[i] / 2
-		}
-		for v := 0; v < n; v++ {
-			if off[v+1] == off[v] {
-				dst[v] += src[v] / 2
-				continue
-			}
-			for a := off[v]; a < off[v+1]; a++ {
-				u := to[a]
-				dst[u] += src[v] / (2 * sqrtD[u] * sqrtD[v])
-			}
-		}
-	}
-	deflate(x)
-	normalize(x)
-	for it := 0; it < iters; it++ {
-		apply(y, x)
-		deflate(y)
-		normalize(y)
-		copy(x, y)
-	}
-	for v := 0; v < n; v++ {
-		scores[v] = x[v] / sqrtD[v]
-	}
-	return scores
+	f := NewFiedler(g)
+	vecs := make([]float64, 2*n)
+	f.Start(vecs[:n], rng)
+	return f.Scores(vecs[:n:n], vecs[n:], iters)
 }
 
-// Bounds holds a certified interval for the conductance of a graph.
+// Bounds holds conductance bounds for a graph: a true upper bound and, for
+// graphs too large to decide exactly, a lower estimate (see EstimateBounds).
 type Bounds struct {
 	Lower float64
 	Upper float64
@@ -500,15 +521,18 @@ type Bounds struct {
 
 // EstimateBounds returns conductance bounds: the upper bound comes from the
 // best spectral sweep cut found (a genuine cut, hence a true upper bound);
-// the lower bound comes from Cheeger's inequality applied to the estimated
-// spectral gap, Φ ≥ gap/2 for the lazy walk normalization.
+// the lower bound is Cheeger's inequality, Φ ≥ gap/2 for the lazy walk
+// normalization, applied to the spectral gap estimated after iters power
+// iterations. The power iteration does not converge within a few hundred
+// iterations on large, poorly connected graphs and overestimates the gap
+// there (5.4× on a 50×50 grid at 300), so Lower is an estimate, not a
+// certificate.
 func EstimateBounds(g graph.G, iters int, rng *rand.Rand) Bounds {
 	if g.N() <= 1 || g.M() == 0 {
 		return Bounds{}
 	}
 	gap := SpectralGap(g, iters, rng)
-	scores := FiedlerScores(g, iters, rng)
-	_, upper := SweepCut(g, scores)
+	_, upper := SweepCut(g, FiedlerScores(g, iters, rng))
 	lower := gap / 2
 	if lower < 0 {
 		lower = 0

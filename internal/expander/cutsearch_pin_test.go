@@ -1,0 +1,217 @@
+package expander
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"maps"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"expandergap/internal/conductance"
+	"expandergap/internal/graph"
+)
+
+// This file pins the sparse-cut search and the decompositions it serves.
+// The sequential recursion threads one PRNG through every cut search in DFS
+// order, so a search that returned the same cut but drew one value more or
+// less would silently move every later cut; the pins therefore compare the
+// caller's PRNG position as well as the cut.
+
+// refBestSparseCut is the reference cut search: the three spectral trials
+// run one after another, each drawing its start vector just before its own
+// power iteration, then the BFS sweep and the two nibbles.
+func refBestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool) (map[int]bool, float64) {
+	n := sub.N()
+	if n < 2 {
+		return nil, math.Inf(1)
+	}
+	if n <= 14 {
+		return exactSparseCut(sub)
+	}
+	bestPhi := math.Inf(1)
+	var best map[int]bool
+	trials := 3
+	if deterministic {
+		rng = rand.New(rand.NewSource(12345))
+		trials = 1
+	}
+	for trial := 0; trial < trials; trial++ {
+		scores := conductance.FiedlerScores(sub, iters, rng)
+		s, phi := conductance.SweepCut(sub, scores)
+		if phi < bestPhi {
+			bestPhi, best = phi, s
+		}
+	}
+	dist, _ := graph.BFSOf(sub, 0)
+	scores := make([]float64, n)
+	for v := range scores {
+		if dist[v] < 0 {
+			scores[v] = float64(n + 1)
+		} else {
+			scores[v] = float64(dist[v])
+		}
+	}
+	if s, phi := conductance.SweepCut(sub, scores); phi < bestPhi {
+		bestPhi, best = phi, s
+	}
+	epsPush := 1.0 / (20 * float64(sub.M()+1))
+	seeds := []int{rng.Intn(n), rng.Intn(n)}
+	if deterministic {
+		seeds = []int{0, n / 2}
+	}
+	for _, seed := range seeds {
+		s, phi := conductance.Nibble(sub, seed, 0.1, epsPush)
+		if s != nil && len(s) > 0 && len(s) < n && phi < bestPhi {
+			bestPhi, best = phi, s
+		}
+	}
+	return best, bestPhi
+}
+
+// cutSearchPieces returns the pieces the cut-search pin runs on: grids,
+// planar and random graphs, a disconnected graph, filtered views, and a
+// piece small enough for the exact search.
+func cutSearchPieces() []struct {
+	name string
+	g    graph.G
+} {
+	rng := rand.New(rand.NewSource(17))
+	planar500 := graph.RandomPlanar(500, 0.6, rng)
+	firstHalf := make([]int, 250)
+	for i := range firstHalf {
+		firstHalf[i] = i
+	}
+	er800 := er800Fixture()
+	oddHalf := make([]int, 0, 400)
+	for v := 1; v < er800.N(); v += 2 {
+		oddHalf = append(oddHalf, v)
+	}
+	grid := graph.Grid(14, 14)
+	everyOther := make([]int, 0, grid.N())
+	for v := 0; v < grid.N(); v++ {
+		if v%9 != 4 {
+			everyOther = append(everyOther, v)
+		}
+	}
+	return []struct {
+		name string
+		g    graph.G
+	}{
+		{"grid16x16", graph.Grid(16, 16)},
+		{"grid20x10", graph.Grid(20, 10)},
+		{"grid4x40", graph.Grid(4, 40)},
+		{"trigrid12x12", graph.TriangulatedGrid(12, 12)},
+		{"torus8x8", graph.Torus(8, 8)},
+		{"maxplanar200", graph.RandomMaximalPlanar(200, rng)},
+		{"maxplanar300", graph.RandomMaximalPlanar(300, rng)},
+		{"planar300", graph.RandomPlanar(300, 0.6, rng)},
+		{"planar500", planar500},
+		{"er400", graph.ErdosRenyiStream(400, 6.0/400, 3, 0)},
+		{"er800", er800},
+		{"er200", graph.ErdosRenyiStream(200, 4.0/200, 9, 0)},
+		{"grid8x30", graph.Grid(8, 30)},
+		{"trigrid6x20", graph.TriangulatedGrid(6, 20)},
+		{"maxplanar120", graph.RandomMaximalPlanar(120, rng)},
+		{"er300-sparse", graph.ErdosRenyiStream(300, 1.5/300, 5, 0)},
+		{"barbell-grids", graph.Disjoint(graph.Grid(5, 5), graph.Grid(5, 5))},
+		{"planar500-view", planar500.InduceFiltered(firstHalf, func(ei int) bool { return ei%7 == 2 })},
+		{"grid14-view", grid.InduceFiltered(everyOther, func(ei int) bool { return ei%11 == 0 })},
+		{"er800-view", er800.InduceFiltered(oddHalf, func(ei int) bool { return ei%13 == 6 })},
+		{"path15", graph.Path(15)},
+		{"cycle12-exact", graph.Cycle(12)},
+	}
+}
+
+func TestBestSparseCutPinned(t *testing.T) {
+	for _, tc := range cutSearchPieces() {
+		for _, deterministic := range []bool{false, true} {
+			for _, seed := range []int64{1, 2022} {
+				name := fmt.Sprintf("%s/det=%t/seed=%d", tc.name, deterministic, seed)
+				t.Run(name, func(t *testing.T) {
+					got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+					gs, gphi := bestSparseCut(tc.g, 300, got, deterministic)
+					ws, wphi := refBestSparseCut(tc.g, 300, want, deterministic)
+					if math.Float64bits(gphi) != math.Float64bits(wphi) {
+						t.Errorf("φ = %v, reference %v", gphi, wphi)
+					}
+					if !maps.Equal(gs, ws) {
+						t.Errorf("cut of %d vertices differs from the reference cut of %d", len(gs), len(ws))
+					}
+					if g, w := got.Int63(), want.Int63(); g != w {
+						t.Errorf("caller's PRNG then draws %d, reference %d", g, w)
+					}
+				})
+			}
+		}
+	}
+}
+
+// churnChain mirrors the server's /mutate path on g: ten 25-op batches of
+// one GenerateChurn trace, each applied as an overlay on the previous
+// snapshot's graph and absorbed by DecomposeIncremental. It returns the
+// FNV-64a hash of every intermediate decomposition's fingerprint, chained.
+func churnChain(t *testing.T, g *graph.Graph, opts Options) uint64 {
+	t.Helper()
+	dec, err := Decompose(g, 0.3, opts)
+	if err != nil {
+		t.Fatalf("Decompose: %v", err)
+	}
+	const batches, batch = 10, 25
+	ops, err := graph.GenerateChurn(g, batches*batch, 1)
+	if err != nil {
+		t.Fatalf("GenerateChurn: %v", err)
+	}
+	h := fnv.New64a()
+	for k := 0; k < batches; k++ {
+		ov := graph.NewOverlay(g)
+		if i, err := ov.ApplyAll(ops[k*batch : (k+1)*batch]); err != nil {
+			t.Fatalf("batch %d op %d: %v", k, i, err)
+		}
+		if dec, g, _, err = DecomposeIncremental(dec, ov, 0.3, opts); err != nil {
+			t.Fatalf("batch %d: DecomposeIncremental: %v", k, err)
+		}
+		h.Write(binary.LittleEndian.AppendUint64(nil, decompositionFingerprint(dec)))
+	}
+	return h.Sum64()
+}
+
+// TestChurnDecompositionsPinned fingerprints what the server publishes for
+// the er800 bench fixture at its defaults (ε 0.3, seed 1) after ten churn
+// batches, under both recursions. TestDecomposeGolden pins the full
+// decompositions of the fixtures.
+func TestChurnDecompositionsPinned(t *testing.T) {
+	const want = 0x154bd935c3f8c009
+	for _, workers := range []int{1, 2} {
+		if got := churnChain(t, er800Fixture(), Options{Seed: 1, Workers: workers}); got != want {
+			t.Errorf("workers=%d: chained fingerprint %#x, want %#x", workers, got, want)
+		}
+	}
+}
+
+// TestDecompositionScheduleIndependent runs both recursions and the
+// incremental path under one and under four Ps: the concurrent cut search
+// must give the same output whatever the scheduler does with its trials.
+func TestDecompositionScheduleIndependent(t *testing.T) {
+	g := graph.RandomPlanar(800, 0.6, rand.New(rand.NewSource(8)))
+	run := func(procs int) []uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var out []uint64
+		for _, workers := range []int{1, 2} {
+			opts := Options{Seed: 5, Workers: workers}
+			d, err := Decompose(g, 0.3, opts)
+			if err != nil {
+				t.Fatalf("Decompose: %v", err)
+			}
+			out = append(out, decompositionFingerprint(d), churnChain(t, g, opts))
+		}
+		return out
+	}
+	one, four := run(1), run(4)
+	if !slices.Equal(one, four) {
+		t.Errorf("outputs under GOMAXPROCS(1) %v differ from GOMAXPROCS(4) %v", one, four)
+	}
+}

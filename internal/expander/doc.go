@@ -27,8 +27,8 @@
 //     nibble approach end-to-end alongside the MPX+refine pipeline.
 //
 // Decomposition.Verify checks the contract against the definitions of
-// Section 2 using exact conductance for small clusters and certified
-// spectral bounds otherwise.
+// Section 2 using exact conductance for small clusters and, otherwise, a
+// Cheeger estimate from 300 power iterations that is not a certificate.
 //
 // When a congest.Observer is attached to the Config, the distributed
 // constructions report their stage structure as named phases:

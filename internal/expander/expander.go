@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"expandergap/internal/conductance"
 	"expandergap/internal/graph"
@@ -57,11 +58,14 @@ type Report struct {
 	CutOK bool
 	// CutFraction is the measured |E^r|/|E|.
 	CutFraction float64
-	// MinConductance is the smallest certified cluster conductance lower
-	// bound observed (exact for small clusters, Cheeger bound otherwise).
+	// MinConductance is the smallest cluster conductance observed: exact for
+	// clusters of at most conductance.MaxExactN vertices, and otherwise a
+	// Cheeger estimate, half the spectral gap estimated after 300 power
+	// iterations, which is not a certified lower bound (see
+	// conductance.EstimateBounds).
 	MinConductance float64
-	// ConductanceOK is true when every multi-vertex cluster's certified
-	// conductance meets d.Phi.
+	// ConductanceOK is true when every multi-vertex cluster's conductance,
+	// exact or estimated as for MinConductance, meets d.Phi.
 	ConductanceOK bool
 	// Exact is true when every cluster was checked exactly.
 	Exact bool
@@ -274,8 +278,21 @@ func (d *Decomposition) addCluster(verts []int) {
 
 // bestSparseCut searches for the lowest-conductance cut of sub: exactly for
 // small graphs, otherwise via spectral sweeps from a few random starts plus
-// a BFS-order sweep. Returns the cut (as a local-vertex set) and its
-// conductance.
+// a BFS-order sweep and two PageRank-Nibble runs. Returns the cut (as a
+// local-vertex set) and its conductance.
+//
+// The spectral trials (a power iteration and a sweep each, the bulk of the
+// search) split over two goroutines: trials 1 and 2 run one after the other
+// on a helper while this goroutine runs trial 0, the BFS sweep and the
+// nibbles. One helper keeps a Workers = 1 decomposition on at most two CPUs,
+// so Options.Workers remains the way to use more. The result is that of
+// running the search step by step, to the bit, by three rules. All
+// randomness is drawn first, on the calling goroutine and in the sequential
+// order: every trial's start vector, then the two nibble seeds (none in
+// deterministic mode, which leaves rng untouched). A trial reads only sub and
+// the shared Fiedler state and writes only its own candidate slot. The
+// winner is picked by scanning the candidates in the sequential order with a
+// strict <.
 func bestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool) (map[int]bool, float64) {
 	n := sub.N()
 	if n < 2 {
@@ -284,8 +301,6 @@ func bestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool) (
 	if n <= 14 {
 		return exactSparseCut(sub)
 	}
-	bestPhi := math.Inf(1)
-	var best map[int]bool
 	trials := 3
 	if deterministic {
 		// A fixed-seed PRNG makes the power iteration reproducible without
@@ -293,13 +308,39 @@ func bestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool) (
 		rng = rand.New(rand.NewSource(12345))
 		trials = 1
 	}
-	for trial := 0; trial < trials; trial++ {
-		scores := conductance.FiedlerScores(sub, iters, rng)
-		s, phi := conductance.SweepCut(sub, scores)
-		if phi < bestPhi {
-			bestPhi, best = phi, s
-		}
+	f := conductance.NewFiedler(sub)
+	vecs := make([]float64, 2*n*trials) // per trial: start vector, scratch
+	for t := 0; t < trials; t++ {
+		f.Start(vecs[2*t*n:(2*t+1)*n], rng)
 	}
+	// PageRank-Nibble local clustering (the Spielman–Teng style primitive
+	// behind nibble decompositions); deterministic mode uses fixed seeds.
+	seeds := [2]int{0, n / 2}
+	if !deterministic {
+		seeds = [2]int{rng.Intn(n), rng.Intn(n)}
+	}
+
+	// The candidates, in the order the winner is picked: the spectral
+	// trials, the BFS sweep and the two nibbles.
+	var c struct {
+		wg  sync.WaitGroup
+		cut [6]map[int]bool
+		phi [6]float64
+	}
+	trial := func(t int) {
+		x, y := vecs[2*t*n:(2*t+1)*n], vecs[(2*t+1)*n:(2*t+2)*n]
+		c.cut[t], c.phi[t] = conductance.SweepCut(sub, f.Scores(x, y, iters))
+	}
+	if trials > 1 {
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			for t := 1; t < trials; t++ {
+				trial(t)
+			}
+		}()
+	}
+	trial(0)
 	// BFS sweep from an arbitrary vertex as a combinatorial fallback.
 	dist, _ := graph.BFSOf(sub, 0)
 	scores := make([]float64, n)
@@ -310,20 +351,20 @@ func bestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool) (
 			scores[v] = float64(dist[v])
 		}
 	}
-	if s, phi := conductance.SweepCut(sub, scores); phi < bestPhi {
-		bestPhi, best = phi, s
-	}
-	// PageRank-Nibble local clustering (the Spielman–Teng style primitive
-	// behind nibble decompositions); deterministic mode uses fixed seeds.
+	c.cut[3], c.phi[3] = conductance.SweepCut(sub, scores)
 	epsPush := 1.0 / (20 * float64(sub.M()+1))
-	seeds := []int{rng.Intn(n), rng.Intn(n)}
-	if deterministic {
-		seeds = []int{0, n / 2}
+	for i, seed := range seeds {
+		c.cut[4+i], c.phi[4+i] = conductance.Nibble(sub, seed, 0.1, epsPush)
 	}
-	for _, seed := range seeds {
-		s, phi := conductance.Nibble(sub, seed, 0.1, epsPush)
-		if s != nil && len(s) > 0 && len(s) < n && phi < bestPhi {
-			bestPhi, best = phi, s
+	c.wg.Wait()
+
+	// Every sweep cut is a proper nonempty subset; a nibble's may not be,
+	// and a deterministic search leaves trials 1 and 2 empty.
+	bestPhi := math.Inf(1)
+	var best map[int]bool
+	for i, s := range c.cut {
+		if len(s) > 0 && len(s) < n && c.phi[i] < bestPhi {
+			bestPhi, best = c.phi[i], s
 		}
 	}
 	return best, bestPhi

@@ -34,6 +34,13 @@ func decompositionFingerprint(d *Decomposition) uint64 {
 	return h.Sum64()
 }
 
+// The bench fixtures, built with the generator calls of bench/fixtures.go.
+func er800Fixture() *graph.Graph { return graph.ErdosRenyiStream(800, 6.0/800, 11, 0) }
+
+func planar20kFixture() *graph.Graph {
+	return graph.RandomPlanarStream(20000, 0.6, rand.New(rand.NewSource(3)), 0)
+}
+
 func TestDecomposeGolden(t *testing.T) {
 	type goldenCase struct {
 		name     string
@@ -79,6 +86,20 @@ func TestDecomposeGolden(t *testing.T) {
 		opts:     Options{Seed: 2022},
 		clusters: 1, removed: 0, fp: 0x6bc5cb0cea2dee24,
 	})
+	// The served fixtures at the server's defaults (ε 0.3, seed 1), captured
+	// while the cut search still ran its trials one after another.
+	cases = append(cases, goldenCase{
+		name: "er800-eps0.3", g: er800Fixture(), eps: 0.3,
+		opts:     Options{Seed: 1},
+		clusters: 3, removed: 0, fp: 0xf33cd0deb4964d85,
+	})
+	if !testing.Short() {
+		cases = append(cases, goldenCase{
+			name: "planar20k-eps0.3", g: planar20kFixture(), eps: 0.3,
+			opts:     Options{Seed: 1},
+			clusters: 1, removed: 0, fp: 0x28c61dd0ff3ddc24,
+		})
+	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,22 +11,23 @@ import (
 // the sequential ground truth plus pools of 2, 4 and 8.
 var decomposerSweep = []int{1, 2, 4, 8}
 
-// TestDecomposeParallelGoldenEquivalence runs the E4/E7 golden instances
-// under every decomposer worker count and demands the pinned sequential
-// fingerprints. On these instances every cut decision is RNG-independent
-// (no cut below the φ target exists, and SweepCut certifies the exact
-// conductance of any candidate), so the per-piece seed derivation of the
-// parallel path must not change a single output byte.
+// TestDecomposeParallelGoldenEquivalence runs the E4/E7 golden instances and
+// the served fixtures under every decomposer worker count and demands the
+// pinned sequential fingerprints. On these instances every cut decision is
+// RNG-independent (no cut below the φ target exists, and SweepCut certifies
+// the exact conductance of any candidate), so the per-piece seed derivation
+// of the parallel path must not change a single output byte.
 func TestDecomposeParallelGoldenEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2022))
 	base := graph.RandomPlanar(36, 0.7, rng)
-	cases := []struct {
+	type parCase struct {
 		name string
 		g    *graph.Graph
 		eps  float64
 		opts Options
 		fp   uint64
-	}{
+	}
+	cases := []parCase{
 		{name: "grid16x16-eps0.25", g: graph.Grid(16, 16), eps: 0.25,
 			opts: Options{Seed: 2022}, fp: 0x5177aa8a268ecc24},
 		{name: "trigrid12x12-eps0.25", g: graph.TriangulatedGrid(12, 12), eps: 0.25,
@@ -35,6 +36,12 @@ func TestDecomposeParallelGoldenEquivalence(t *testing.T) {
 			opts: Options{Seed: 2022}, fp: 0x6bc5cb0cea2dee24},
 		{name: "grid16x16-deterministic", g: graph.Grid(16, 16), eps: 0.25,
 			opts: Options{Seed: 99, Deterministic: true}, fp: 0x5177aa8a268ecc24},
+		{name: "er800-eps0.3", g: er800Fixture(), eps: 0.3,
+			opts: Options{Seed: 1}, fp: 0xf33cd0deb4964d85},
+	}
+	if !testing.Short() {
+		cases = append(cases, parCase{name: "planar20k-eps0.3", g: planar20kFixture(), eps: 0.3,
+			opts: Options{Seed: 1}, fp: 0x28c61dd0ff3ddc24})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,8 +26,10 @@ type Stats struct {
 	Singletons int
 	// MaxDiameter is the largest induced-cluster diameter.
 	MaxDiameter int
-	// MinConductance is the smallest certified per-cluster conductance
-	// (exact for small clusters, Cheeger bound otherwise).
+	// MinConductance is the smallest per-cluster conductance: exact for
+	// clusters of at most conductance.MaxExactN vertices, and otherwise a
+	// Cheeger estimate after 200 power iterations, not a certified lower
+	// bound (see conductance.EstimateBounds).
 	MinConductance float64
 }
 
