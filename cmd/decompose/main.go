@@ -30,7 +30,7 @@ func main() {
 	nFlag := flag.Int("n", 64, "approximate vertex count")
 	epsFlag := flag.Float64("eps", 0.3, "edge-removal budget ε")
 	seedFlag := flag.Int64("seed", 1, "random seed")
-	workersFlag := flag.Int("workers", 1, "decomposer goroutine pool size (>1 enables the parallel recursion)")
+	workersFlag := flag.Int("workers", 1, "decomposer goroutine pool size (the decomposition is the same at every value)")
 	distFlag := flag.Bool("distributed", false, "use the distributed (MPX+refine) decomposer")
 	inFlag := flag.String("in", "", "read graph from a file (text edge list or binary CSR) instead of generating")
 	mmapFlag := flag.Bool("mmap", false, "memory-map the -in file (binary CSR format only)")

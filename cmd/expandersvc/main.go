@@ -49,7 +49,7 @@ func main() {
 	addrFlag := flag.String("addr", ":8080", "listen address")
 	epsFlag := flag.Float64("eps", 0.3, "decomposition edge-removal budget ε")
 	seedFlag := flag.Int64("seed", 1, "decomposition seed")
-	decWorkers := flag.Int("decworkers", 1, "parallel decomposer workers (>1 enables the parallel recursion)")
+	decWorkers := flag.Int("decworkers", 1, "decomposer goroutine pool size (the decomposition is the same at every value)")
 	simWorkers := flag.Int("simworkers", 0, "simulator executor workers per query (0 = sequential)")
 	batchWindow := flag.Duration("batchwindow", 2*time.Millisecond, "how long a flight leader waits for coalescing followers")
 	runPool := flag.Int("runpool", 0, "canonical-run pool workers (0 = min(GOMAXPROCS, NumCPU))")

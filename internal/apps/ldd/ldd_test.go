@@ -48,7 +48,7 @@ func TestDecomposeClustersConnected(t *testing.T) {
 		groups[l] = append(groups[l], v)
 	}
 	for l, members := range groups {
-		sub, _ := g.InducedSubgraph(members)
+		sub, _ := g.Induce(members).Materialize()
 		if !sub.Connected() {
 			t.Errorf("cluster %d disconnected", l)
 		}

@@ -12,6 +12,7 @@ package conductance
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -74,68 +75,87 @@ func CutSparsity(g graph.G, s map[int]bool) float64 {
 	return float64(CutSize(g, s)) / float64(minSide)
 }
 
-// MaxExactN is the largest graph size for which ExactConductance enumerates
-// all cuts (2^(n-1) subsets).
+// MaxExactN is the largest graph size for which ExactCut and
+// ExactConductance enumerate all cuts (2^(n-1) subsets).
 const MaxExactN = 22
 
 // ExactConductance returns Φ(G) = min over all non-trivial cuts of Φ(S),
-// computed by exhaustive enumeration. It panics for graphs larger than
-// MaxExactN vertices; callers should fall back to SpectralBounds. For a
+// computed by exhaustive enumeration (ExactCut). It panics for graphs larger
+// than MaxExactN vertices; callers should fall back to EstimateBounds. For a
 // disconnected graph the result is 0 (any component is a cut with no
 // crossing edges). An empty or single-vertex graph has conductance 0 by
 // convention.
 func ExactConductance(g graph.G) float64 {
+	_, phi := ExactCut(g)
+	for v := 0; v < g.N(); v++ {
+		if g.Degree(v) == 0 {
+			return 0 // {v} is a cut with no crossing edges
+		}
+	}
+	if math.IsInf(phi, 1) {
+		return 0 // fewer than two vertices
+	}
+	return phi
+}
+
+// ExactCut returns the cut S of minimum conductance among the cuts of g
+// whose two sides both have positive volume, and Φ(S), by enumerating all
+// 2^(n-1) cuts that leave vertex n-1 outside S. Ties go to the smallest mask
+// (bit v set for v ∈ S). It returns nil and +Inf when no cut qualifies (fewer
+// than two vertices, or no edges), and panics above MaxExactN vertices.
+//
+// The enumeration walks the masks in reflected Gray-code order, so each step
+// moves one vertex v across the cut: vol(S) changes by deg(v), and |∂S| by
+// deg(v) − 2·|N(v) ∩ S|, read off a neighbour bitmask with one popcount.
+// Conductances are compared exactly, as integer cross products.
+func ExactCut(g graph.G) (map[int]bool, float64) {
 	n := g.N()
 	if n > MaxExactN {
-		panic(fmt.Sprintf("conductance: ExactConductance limited to n <= %d, got %d", MaxExactN, n))
+		panic(fmt.Sprintf("conductance: exact cut enumeration limited to n <= %d, got %d", MaxExactN, n))
 	}
-	if n <= 1 {
-		return 0
+	if n < 2 {
+		return nil, math.Inf(1)
 	}
 	deg := make([]int, n)
-	for v := 0; v < n; v++ {
+	for v := range deg {
 		deg[v] = g.Degree(v)
 	}
+	nbr := make([]uint32, n)
+	for i := 0; i < g.M(); i++ {
+		e := g.EdgeAt(i)
+		nbr[e.U] |= 1 << e.V
+		nbr[e.V] |= 1 << e.U
+	}
 	totalVol := 2 * g.M()
-	edges := graph.EdgesOf(g)
-	best := math.Inf(1)
-	// Fix vertex n-1 outside S to halve the enumeration.
-	for mask := 1; mask < 1<<(n-1); mask++ {
-		volS := 0
-		for v := 0; v < n-1; v++ {
-			if mask&(1<<v) != 0 {
-				volS += deg[v]
-			}
+	var s, best uint32
+	vol, cut, bestVol, bestCut := 0, 0, 0, 0
+	for k := uint32(1); k < 1<<(n-1); k++ {
+		v := bits.TrailingZeros32(k)
+		d := deg[v] - 2*bits.OnesCount32(nbr[v]&s)
+		if s&(1<<v) == 0 {
+			vol, cut = vol+deg[v], cut+d
+		} else {
+			vol, cut = vol-deg[v], cut-d
 		}
-		cut := 0
-		for _, e := range edges {
-			inU := e.U < n-1 && mask&(1<<e.U) != 0
-			inV := e.V < n-1 && mask&(1<<e.V) != 0
-			if inU != inV {
-				cut++
-			}
+		s ^= 1 << v
+		minVol := min(vol, totalVol-vol)
+		if minVol == 0 {
+			continue
 		}
-		minVol := volS
-		if rest := totalVol - volS; rest < minVol {
-			minVol = rest
-		}
-		var phi float64
-		switch {
-		case minVol == 0 && cut == 0:
-			phi = 0
-		case minVol == 0:
-			phi = math.Inf(1)
-		default:
-			phi = float64(cut) / float64(minVol)
-		}
-		if phi < best {
-			best = phi
+		if l, r := cut*bestVol, bestCut*minVol; best == 0 || l < r || l == r && s < best {
+			best, bestCut, bestVol = s, cut, minVol
 		}
 	}
-	if math.IsInf(best, 1) {
-		return 0
+	if best == 0 {
+		return nil, math.Inf(1)
 	}
-	return best
+	set := make(map[int]bool, bits.OnesCount32(best))
+	for v := 0; v < n-1; v++ {
+		if best&(1<<v) != 0 {
+			set[v] = true
+		}
+	}
+	return set, float64(bestCut) / float64(bestVol)
 }
 
 // flatAdj snapshots g's adjacency into CSR-style offset/neighbor arrays so

@@ -127,7 +127,7 @@ func TestDeterministicTrackOnWeighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, members := range sol.Decomposition.Clusters {
-		sub, _ := g.InducedSubgraph(members)
+		sub, _ := g.Induce(members).Materialize()
 		for _, v := range members {
 			if sol.Values[v] != sub.TotalWeight() {
 				t.Errorf("cluster %d vertex %d: %d != %d", id, v, sol.Values[v], sub.TotalWeight())

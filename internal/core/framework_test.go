@@ -62,7 +62,7 @@ func TestRunTopologyReconstructionExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, members := range sol.Decomposition.Clusters {
-		sub, _ := g.InducedSubgraph(members)
+		sub, _ := g.Induce(members).Materialize()
 		for _, v := range members {
 			if sol.Undelivered[v] {
 				t.Fatalf("vertex %d undelivered", v)
@@ -105,7 +105,7 @@ func TestRunWeightedTopology(t *testing.T) {
 		// Decomposer split it; each vertex still sees its own cluster's
 		// weight consistently.
 		for id, members := range sol.Decomposition.Clusters {
-			sub, _ := g.InducedSubgraph(members)
+			sub, _ := g.Induce(members).Materialize()
 			for _, v := range members {
 				if sol.Values[v] != sub.TotalWeight() {
 					t.Errorf("cluster %d: value %d, want %d", id, sol.Values[v], sub.TotalWeight())

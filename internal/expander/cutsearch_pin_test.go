@@ -16,10 +16,9 @@ import (
 )
 
 // This file pins the sparse-cut search and the decompositions it serves.
-// The sequential recursion threads one PRNG through every cut search in DFS
-// order, so a search that returned the same cut but drew one value more or
-// less would silently move every later cut; the pins therefore compare the
-// caller's PRNG position as well as the cut.
+// The pins compare the caller's PRNG position as well as the cut: a search
+// that returned the same cut but drew one value more or less would change
+// what any caller drawing after it gets.
 
 // refBestSparseCut is the reference cut search: the three spectral trials
 // run one after another, each drawing its start vector just before its own
@@ -30,7 +29,7 @@ func refBestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool
 		return nil, math.Inf(1)
 	}
 	if n <= 14 {
-		return exactSparseCut(sub)
+		return refExactSparseCut(sub)
 	}
 	bestPhi := math.Inf(1)
 	var best map[int]bool
@@ -70,6 +69,125 @@ func refBestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool
 		}
 	}
 	return best, bestPhi
+}
+
+// refExactSparseCut is the reference exhaustive cut search: every mask over
+// vertices 0..n-2 in increasing order, each cut's volume summed over its
+// vertices and its size counted over every edge, the first strictly better
+// cut kept; cuts with an empty-volume side are skipped.
+func refExactSparseCut(sub graph.G) (map[int]bool, float64) {
+	n := sub.N()
+	deg := make([]int, n)
+	for v := 0; v < n; v++ {
+		deg[v] = sub.Degree(v)
+	}
+	totalVol := 2 * sub.M()
+	edges := graph.EdgesOf(sub)
+	bestPhi := math.Inf(1)
+	bestMask := 0
+	for mask := 1; mask < 1<<(n-1); mask++ {
+		volS := 0
+		for v := 0; v < n-1; v++ {
+			if mask&(1<<v) != 0 {
+				volS += deg[v]
+			}
+		}
+		cut := 0
+		for _, e := range edges {
+			inU := e.U < n-1 && mask&(1<<e.U) != 0
+			inV := e.V < n-1 && mask&(1<<e.V) != 0
+			if inU != inV {
+				cut++
+			}
+		}
+		minVol := volS
+		if rest := totalVol - volS; rest < minVol {
+			minVol = rest
+		}
+		if minVol == 0 {
+			continue
+		}
+		phi := float64(cut) / float64(minVol)
+		if phi < bestPhi {
+			bestPhi = phi
+			bestMask = mask
+		}
+	}
+	if bestMask == 0 {
+		return nil, math.Inf(1)
+	}
+	s := make(map[int]bool)
+	for v := 0; v < n-1; v++ {
+		if bestMask&(1<<v) != 0 {
+			s[v] = true
+		}
+	}
+	return s, bestPhi
+}
+
+// TestExactSparseCutPinned pins the cut search's exhaustive branch (pieces
+// of at most 14 vertices) to the reference enumeration: the same cut set,
+// the same φ bits, and no draw from the caller's PRNG. It runs on 2,400
+// random connected graphs of 2–14 vertices, sparse to dense, and on the edge
+// cases: 0 and 1 vertices, an edgeless graph, isolated vertices, a
+// disconnected graph, a 14-vertex ladder and clique, and filtered views.
+func TestExactSparseCutPinned(t *testing.T) {
+	check := func(name string, g graph.G) {
+		t.Helper()
+		rng, ref := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+		gs, gphi := bestSparseCut(g, 300, rng, false)
+		var ws map[int]bool
+		wphi := math.Inf(1)
+		if g.N() >= 2 {
+			ws, wphi = refExactSparseCut(g)
+		}
+		if math.Float64bits(gphi) != math.Float64bits(wphi) {
+			t.Errorf("%s (n=%d m=%d): φ = %v, reference %v", name, g.N(), g.M(), gphi, wphi)
+		}
+		if !maps.Equal(gs, ws) || (gs == nil) != (ws == nil) {
+			t.Errorf("%s (n=%d m=%d): cut %v, reference %v", name, g.N(), g.M(), gs, ws)
+		}
+		if rng.Int63() != ref.Int63() {
+			t.Errorf("%s: the exhaustive search drew from the caller's PRNG", name)
+		}
+	}
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 2400; i++ {
+		n := 2 + i%13
+		b := graph.NewBuilder(n)
+		for v := 1; v < n; v++ {
+			b.AddEdge(rng.Intn(v), v)
+		}
+		p := rng.Float64() * rng.Float64()
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < p {
+					b.AddEdge(u, v)
+				}
+			}
+		}
+		check(fmt.Sprintf("random #%d", i), b.Graph())
+	}
+	grid := graph.Grid(4, 4)
+	for _, tc := range []struct {
+		name string
+		g    graph.G
+	}{
+		{"n=0", graph.NewBuilder(0).Graph()},
+		{"n=1", graph.Path(1)},
+		{"n=2 edge", graph.Path(2)},
+		{"n=2 edgeless", graph.NewBuilder(2).Graph()},
+		{"edgeless", graph.NewBuilder(6).Graph()},
+		{"isolated vertices", graph.Disjoint(graph.Cycle(5), graph.NewBuilder(2).Graph())},
+		{"isolated last vertex", graph.Disjoint(graph.Complete(4), graph.Path(1))},
+		{"disconnected", graph.Disjoint(graph.Complete(5), graph.Cycle(6))},
+		{"grid2x7", graph.Grid(2, 7)},
+		{"complete14", graph.Complete(14)},
+		{"filtered view", grid.InduceFiltered([]int{0, 1, 2, 4, 5, 6, 8, 9, 10, 13, 14}, func(ei int) bool { return ei%5 == 1 })},
+		{"filtered view, all edges dropped", grid.InduceFiltered([]int{0, 1, 4, 5}, func(int) bool { return true })},
+	} {
+		check(tc.name, tc.g)
+	}
 }
 
 // cutSearchPieces returns the pieces the cut-search pin runs on: grids,
@@ -181,8 +299,8 @@ func churnChain(t *testing.T, g *graph.Graph, opts Options) uint64 {
 
 // TestChurnDecompositionsPinned fingerprints what the server publishes for
 // the er800 bench fixture at its defaults (ε 0.3, seed 1) after ten churn
-// batches, under both recursions. TestDecomposeGolden pins the full
-// decompositions of the fixtures.
+// batches, with no pool and with a pool of 2. TestDecomposeGolden pins the
+// full decompositions of the fixtures.
 func TestChurnDecompositionsPinned(t *testing.T) {
 	const want = 0x154bd935c3f8c009
 	for _, workers := range []int{1, 2} {
@@ -192,23 +310,21 @@ func TestChurnDecompositionsPinned(t *testing.T) {
 	}
 }
 
-// TestDecompositionScheduleIndependent runs both recursions and the
-// incremental path under one and under four Ps: the concurrent cut search
-// must give the same output whatever the scheduler does with its trials.
+// TestDecompositionScheduleIndependent runs Decompose and the incremental
+// path on a pool of 2 under one and under four Ps: the piece fan-out and the
+// concurrent cut search must give the same output whatever the scheduler
+// does with them. TestDecomposeParallelWorkerInvariance covers the other
+// pool sizes.
 func TestDecompositionScheduleIndependent(t *testing.T) {
 	g := graph.RandomPlanar(800, 0.6, rand.New(rand.NewSource(8)))
 	run := func(procs int) []uint64 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		var out []uint64
-		for _, workers := range []int{1, 2} {
-			opts := Options{Seed: 5, Workers: workers}
-			d, err := Decompose(g, 0.3, opts)
-			if err != nil {
-				t.Fatalf("Decompose: %v", err)
-			}
-			out = append(out, decompositionFingerprint(d), churnChain(t, g, opts))
+		opts := Options{Seed: 5, Workers: 2}
+		d, err := Decompose(g, 0.3, opts)
+		if err != nil {
+			t.Fatalf("Decompose: %v", err)
 		}
-		return out
+		return []uint64{decompositionFingerprint(d), churnChain(t, g, opts)}
 	}
 	one, four := run(1), run(4)
 	if !slices.Equal(one, four) {

@@ -3,6 +3,7 @@ package expander
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"expandergap/internal/congest"
 	"expandergap/internal/graph"
@@ -156,18 +157,18 @@ func DistributedDecompose(g *graph.Graph, cfg congest.Config, eps float64) (*Dec
 	// phase still appears in reports so the two-stage structure is visible.
 	cfg.Obs.BeginPhase("refine")
 	defer cfg.Obs.EndPhase()
-	for _, members := range mpx.Assignment.Clusters() {
-		sub, toOld := g.InducedSubgraph(members)
-		subDec, derr := Decompose(sub, eps/2, Options{Phi: phi, Seed: cfg.Seed})
-		if derr != nil {
-			return nil, metrics, derr
-		}
-		for _, cluster := range subDec.Clusters {
-			orig := make([]int, len(cluster))
-			for i, v := range cluster {
-				orig[i] = toOld[v]
-			}
-			final.addCluster(orig)
+	// The MPX clusters are disjoint pieces of g: one recursion refines them
+	// in ascending center order.
+	clusters := mpx.Assignment.Clusters()
+	centers := make([]int, 0, len(clusters))
+	for center := range clusters {
+		centers = append(centers, center)
+	}
+	slices.Sort(centers)
+	refine := newDecomposer(g, phi, Options{Phi: phi, Seed: cfg.Seed}.withDefaults())
+	for _, center := range centers {
+		for _, verts := range refine.solve(clusters[center]) {
+			final.addCluster(verts)
 		}
 	}
 	for i := 0; i < g.M(); i++ {

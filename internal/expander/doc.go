@@ -10,10 +10,12 @@
 //     repository substitutes (see DESIGN.md): the framework only consumes
 //     the (ε, φ) contract, which this decomposer meets with
 //     φ = ε/Θ(log m), matching the existential bound φ = Ω(ε/log n).
-//     Options.Workers > 1 fans the recursion's independent pieces out to a
-//     bounded goroutine pool with per-piece hashed seeds and a shared
-//     removed-edge bitmap that is race-free by ownership; the sequential
-//     Workers <= 1 path remains the pinned ground truth (DESIGN.md §3.12).
+//     Each piece's cut search is seeded by hashing the piece's vertex set,
+//     and the pieces share a removed-edge bitmap that is race-free by
+//     ownership, so Options.Workers only sizes the goroutine pool the
+//     independent pieces fan out to: the output is the same at every
+//     Workers (DESIGN.md §3.12). DecomposeIncremental re-runs the same
+//     recursion on the clusters a mutation batch broke.
 //
 //   - DistributedDecompose: a genuine message-passing construction run on
 //     the CONGEST simulator. It combines Miller–Peng–Xu exponential-shift

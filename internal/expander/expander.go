@@ -137,15 +137,12 @@ type Options struct {
 	// identical for every Seed — the Theorem 2.2 deterministic-construction
 	// track at the sequential level.
 	Deterministic bool
-	// Workers bounds the decomposer's goroutine pool. 0 or 1 runs the
-	// canonical sequential recursion (the pinned ground truth, whose RNG is
-	// consumed in DFS order). Any k > 1 fans the recursion's independent
-	// pieces out to at most k goroutines, with each piece's randomness
-	// derived by hashing (Seed, piece vertex set) so the output is a pure
-	// function of the inputs: bit-identical for every Workers > 1, and
-	// identical to the sequential path whenever the cut decisions are
-	// RNG-independent (always under Deterministic; pinned on the E4/E7
-	// golden instances). See parallel.go and DESIGN.md §3.12.
+	// Workers bounds the decomposer's goroutine pool: the recursion's
+	// independent pieces fan out to at most Workers goroutines (0 or 1 runs
+	// them all on the caller). Each piece's randomness is derived by hashing
+	// (Seed, piece vertex set), so the output is a pure function of the
+	// graph, eps and the other options: the same at every Workers and under
+	// every schedule. See parallel.go and DESIGN.md §3.12.
 	Workers int
 }
 
@@ -174,76 +171,20 @@ func Decompose(g *graph.Graph, eps float64, opts Options) (*Decomposition, error
 	if phi == 0 {
 		phi = PhiTarget(eps, g.M())
 	}
-	if opts.Workers > 1 {
-		return decomposeParallel(g, eps, phi, opts), nil
-	}
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
-
 	d := &Decomposition{
 		Assignment: make(primitives.ClusterAssignment, g.N()),
 		Eps:        eps,
 		Phi:        phi,
 	}
-	// Removed edges live in a bitmap indexed by base edge id: the
-	// InduceFiltered predicate is then a single bounds-checked load per
-	// candidate edge instead of a map probe at every recursion level, and
-	// no per-cut map inserts allocate. The predicate escapes into every
-	// view, so it is built once here rather than per recursion level.
-	removed := make([]bool, g.M())
-	dropEdge := func(ei int) bool { return removed[ei] }
-
-	var recurse func(verts []int)
-	recurse = func(verts []int) {
-		if len(verts) == 0 {
-			return
-		}
-		// Zero-copy view of the piece, minus the edges removed by earlier
-		// cuts (the recursion operates on the graph minus removed edges).
-		sub := g.InduceFiltered(verts, dropEdge)
-		// Split disconnected pieces first: components are free clusters.
-		comps := sub.Components()
-		if len(comps) > 1 {
-			for _, comp := range comps {
-				orig := make([]int, len(comp))
-				for i, v := range comp {
-					orig[i] = sub.BaseVertex(v)
-				}
-				recurse(orig)
-			}
-			return
-		}
-		if len(verts) <= 2 || sub.M() == 0 {
-			d.addCluster(verts)
-			return
-		}
-		cut, cutPhi := bestSparseCut(sub, opts.SpectralIters, rng, opts.Deterministic)
-		if cutPhi >= phi || cut == nil {
-			d.addCluster(verts)
-			return
-		}
-		// Remove the cut edges (in g's indexing) and recurse on both sides.
-		var sideA, sideB []int
-		for i := 0; i < sub.N(); i++ {
-			v := sub.BaseVertex(i)
-			if cut[i] {
-				sideA = append(sideA, v)
-			} else {
-				sideB = append(sideB, v)
-			}
-		}
-		for _, ei := range graph.CutEdgesOf(sub, cut) {
-			removed[sub.BaseEdge(ei)] = true
-		}
-		recurse(sideA)
-		recurse(sideB)
-	}
 	all := make([]int, g.N())
 	for i := range all {
 		all[i] = i
 	}
-	recurse(all)
-
-	d.Removed = removedList(removed)
+	p := newDecomposer(g, phi, opts)
+	for _, verts := range p.solve(all) {
+		d.addCluster(verts)
+	}
+	d.Removed = removedList(p.removed)
 	return d, nil
 }
 
@@ -276,10 +217,11 @@ func (d *Decomposition) addCluster(verts []int) {
 	}
 }
 
-// bestSparseCut searches for the lowest-conductance cut of sub: exactly for
-// small graphs, otherwise via spectral sweeps from a few random starts plus
-// a BFS-order sweep and two PageRank-Nibble runs. Returns the cut (as a
-// local-vertex set) and its conductance.
+// bestSparseCut searches for the lowest-conductance cut of sub: exactly
+// (conductance.ExactCut) for pieces of at most 14 vertices, otherwise via
+// spectral sweeps from a few random starts plus a BFS-order sweep and two
+// PageRank-Nibble runs. Returns the cut (as a local-vertex set) and its
+// conductance.
 //
 // The spectral trials (a power iteration and a sweep each, the bulk of the
 // search) split over two goroutines: trials 1 and 2 run one after the other
@@ -299,7 +241,7 @@ func bestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool) (
 		return nil, math.Inf(1)
 	}
 	if n <= 14 {
-		return exactSparseCut(sub)
+		return conductance.ExactCut(sub)
 	}
 	trials := 3
 	if deterministic {
@@ -368,57 +310,6 @@ func bestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool) (
 		}
 	}
 	return best, bestPhi
-}
-
-// exactSparseCut enumerates all cuts of a small graph.
-func exactSparseCut(sub graph.G) (map[int]bool, float64) {
-	n := sub.N()
-	deg := make([]int, n)
-	for v := 0; v < n; v++ {
-		deg[v] = sub.Degree(v)
-	}
-	totalVol := 2 * sub.M()
-	edges := graph.EdgesOf(sub)
-	bestPhi := math.Inf(1)
-	bestMask := 0
-	for mask := 1; mask < 1<<(n-1); mask++ {
-		volS := 0
-		for v := 0; v < n-1; v++ {
-			if mask&(1<<v) != 0 {
-				volS += deg[v]
-			}
-		}
-		cut := 0
-		for _, e := range edges {
-			inU := e.U < n-1 && mask&(1<<e.U) != 0
-			inV := e.V < n-1 && mask&(1<<e.V) != 0
-			if inU != inV {
-				cut++
-			}
-		}
-		minVol := volS
-		if rest := totalVol - volS; rest < minVol {
-			minVol = rest
-		}
-		if minVol == 0 {
-			continue
-		}
-		phi := float64(cut) / float64(minVol)
-		if phi < bestPhi {
-			bestPhi = phi
-			bestMask = mask
-		}
-	}
-	if bestMask == 0 {
-		return nil, math.Inf(1)
-	}
-	s := make(map[int]bool)
-	for v := 0; v < n-1; v++ {
-		if bestMask&(1<<v) != 0 {
-			s[v] = true
-		}
-	}
-	return s, bestPhi
 }
 
 // Singletons returns the trivial decomposition where every vertex is alone

@@ -232,7 +232,7 @@ func TestMPXCoversAndBoundsDiameter(t *testing.T) {
 	}
 	maxRadius := 4*math.Log(float64(g.N())+1)/beta + 1
 	for center, members := range res.Assignment.Clusters() {
-		sub, toOld := g.InducedSubgraph(members)
+		sub, toOld := g.Induce(members).Materialize()
 		if !sub.Connected() {
 			t.Errorf("MPX cluster of %d disconnected", center)
 		}
@@ -307,6 +307,25 @@ func TestDistributedDecomposeContract(t *testing.T) {
 	}
 	if rep.Exact && !rep.ConductanceOK {
 		t.Errorf("cluster conductance %v below phi %v", rep.MinConductance, d.Phi)
+	}
+}
+
+// The refine stage numbers clusters in ascending MPX-center order, so
+// repeated runs give the same decomposition, cluster IDs included.
+func TestDistributedDecomposeDeterministic(t *testing.T) {
+	g := graph.Grid(16, 16)
+	var want uint64
+	for run := 0; run < 10; run++ {
+		d, _, err := DistributedDecompose(g, congest.Config{Seed: 3}, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := decompositionFingerprint(d)
+		if run == 0 {
+			want = fp
+		} else if fp != want {
+			t.Fatalf("run %d: fingerprint %#x, want %#x", run, fp, want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"expandergap/internal/conductance"
 	"expandergap/internal/graph"
 	"expandergap/internal/primitives"
 )
@@ -51,14 +52,13 @@ func (s *IncrementalStats) ReuseFraction() float64 {
 // DecomposeIncremental maintains prev — a decomposition of ov's base graph —
 // across the overlay's deltas. It compacts the overlay to a canonical graph,
 // re-certifies every cluster with an intra-cluster insert or delete
-// (connectivity plus the recursion's own no-sparse-cut-below-φ acceptance
-// criterion; see clusterCertified), reuses every cluster whose certificate
-// held, and re-runs the
-// recursive sparse-cut decomposition only on the union of broken clusters
-// and newly added vertices, using the piece-seeded parallel recursion from
-// parallel.go (deterministic for any Workers setting). Deltas that only
-// touch cross-cluster edges never trigger recomputation: a deleted crossing
-// edge leaves the removed set, an inserted one joins it.
+// (connectivity plus conductance at least φ: exact up to
+// conductance.MaxExactN vertices, the recursion's own cut search above; see
+// clusterCertified), reuses every cluster whose certificate held, and re-runs
+// Decompose's recursion (parallel.go) only on the union of broken clusters
+// and newly added vertices. Deltas that only touch cross-cluster edges never
+// trigger recomputation: a deleted crossing edge leaves the removed set, an
+// inserted one joins it.
 //
 // The result keeps prev's φ target (unless opts.Phi overrides it) and
 // carries eps (prev's when eps <= 0) as its budget label. Note the staleness
@@ -115,9 +115,9 @@ func DecomposeIncremental(prev *Decomposition, ov *graph.Overlay, eps float64, o
 	})
 	stats.Touched = len(touched)
 
-	// Re-certify the touched clusters on the compacted graph. The spectral
-	// fallback is piece-seeded like the parallel recursion, so the verdict is
-	// a pure function of (cluster, opts.Seed) — independent of check order.
+	// Re-certify the touched clusters on the compacted graph. The cut-search
+	// fallback is piece-seeded like the recursion, so the verdict is a pure
+	// function of (cluster, opts.Seed) — independent of check order.
 	broken := make(map[int]bool)
 	for cid := range touched {
 		if !clusterCertified(g, prev.Clusters[cid], phi, opts) {
@@ -153,19 +153,7 @@ func DecomposeIncremental(prev *Decomposition, ov *graph.Overlay, eps float64, o
 		}
 	}
 	if len(region) > 0 {
-		workers := opts.Workers - 1
-		if workers < 0 {
-			workers = 0
-		}
-		p := &parDecomposer{
-			g:       g,
-			phi:     phi,
-			opts:    opts,
-			removed: make([]bool, g.M()),
-			sem:     make(chan struct{}, workers),
-		}
-		p.drop = func(ei int) bool { return p.removed[ei] }
-		newClusters := p.solve(region)
+		newClusters := newDecomposer(g, phi, opts).solve(region)
 		stats.NewClusters = len(newClusters)
 		for _, verts := range newClusters {
 			next.addCluster(verts)
@@ -183,20 +171,13 @@ func DecomposeIncremental(prev *Decomposition, ov *graph.Overlay, eps float64, o
 }
 
 // clusterCertified re-checks one cluster's certificate on g: the induced
-// subgraph must be connected and must admit no sparse cut below phi —
-// exactly the acceptance criterion the decomposition recursion applies when
-// it declares a piece a cluster (exact enumeration up to 14 vertices,
-// spectral/BFS/nibble sweeps above), so a reused cluster has the same
-// quality standard as a freshly built one. The cut search draws from a
-// cluster-seeded PRNG, making the verdict a pure function of (cluster,
-// opts.Seed). Single-vertex clusters are vacuously certified, matching
-// Verify.
-//
-// Running the construction-side criterion rather than ExactConductance is
-// deliberate: the exact check enumerates 2^(n-1) cuts and at the
-// MaxExactN=22 ceiling costs more than re-decomposing the cluster would,
-// which would defeat the incremental path; Verify remains the independent
-// exact auditor.
+// subgraph must be connected and have conductance at least phi. Clusters of
+// at most conductance.MaxExactN vertices get Verify's exact check, tolerance
+// included, so a reused cluster of that size never fails Verify. Larger ones
+// get the recursion's own acceptance criterion: no cut below phi found by
+// the cut search, which draws from a cluster-seeded PRNG, making the verdict
+// a pure function of (cluster, opts.Seed). Single-vertex clusters are
+// vacuously certified, matching Verify.
 func clusterCertified(g *graph.Graph, verts []int, phi float64, opts Options) bool {
 	sub := g.Induce(verts)
 	if sub.N() <= 1 {
@@ -204,6 +185,9 @@ func clusterCertified(g *graph.Graph, verts []int, phi float64, opts Options) bo
 	}
 	if !sub.Connected() {
 		return false
+	}
+	if sub.N() <= conductance.MaxExactN {
+		return conductance.ExactConductance(sub) >= phi-1e-12
 	}
 	rng := rand.New(rand.NewSource(pieceSeed(opts.Seed, verts)))
 	cut, cutPhi := bestSparseCut(sub, opts.SpectralIters, rng, opts.Deterministic)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"expandergap/internal/conductance"
 	"expandergap/internal/graph"
 )
 
@@ -118,6 +119,58 @@ func TestIncrementalChurnedReuseAndValidity(t *testing.T) {
 				t.Errorf("verify: connected=%v conductanceOK=%v minPhi=%v", rep.Connected, rep.ConductanceOK, rep.MinConductance)
 			}
 		})
+	}
+}
+
+// TestIncrementalReusedClustersPassExactCheck sweeps churn seeds 1–20 at
+// 10% churn on the 16×16 grid (φ 0.15, seeds 2022 and 7). Every cluster
+// that an intra-cluster delta touched and DecomposeIncremental still reused
+// must be connected with exact conductance at least φ, as Verify checks it:
+// the touched set is computed here from the overlay's deltas.
+func TestIncrementalReusedClustersPassExactCheck(t *testing.T) {
+	base := graph.Grid(16, 16)
+	for _, seed := range []int64{2022, 7} {
+		opts := Options{Seed: seed, Phi: 0.15}
+		for churnSeed := int64(1); churnSeed <= 20; churnSeed++ {
+			prev, ov := churnedInstance(t, base, 0.999, opts, 0.10, churnSeed)
+			next, g, stats, err := DecomposeIncremental(prev, ov, 0, opts)
+			if err != nil {
+				t.Fatalf("seed %d churn %d: incremental: %v", seed, churnSeed, err)
+			}
+			touched := make(map[int]bool)
+			ov.ForEachDeleted(func(_ int, e graph.Edge) {
+				if prev.Assignment[e.U] == prev.Assignment[e.V] {
+					touched[prev.Assignment[e.U]] = true
+				}
+			})
+			ov.ForEachInserted(func(e graph.Edge, _ int64, _ int8) {
+				if e.U < base.N() && e.V < base.N() && prev.Assignment[e.U] == prev.Assignment[e.V] {
+					touched[prev.Assignment[e.U]] = true
+				}
+			})
+			reused := make(map[string]bool, stats.Reused)
+			for _, verts := range next.Clusters[:stats.Reused] {
+				reused[vertsKey(verts)] = true
+			}
+			for cid := range touched {
+				verts := prev.Clusters[cid]
+				if !reused[vertsKey(verts)] || len(verts) <= 1 {
+					continue
+				}
+				sub := g.Induce(verts)
+				if !sub.Connected() {
+					t.Errorf("seed %d churn %d: reused touched cluster %v is disconnected", seed, churnSeed, verts)
+					continue
+				}
+				if len(verts) > conductance.MaxExactN {
+					continue
+				}
+				if phi := conductance.ExactConductance(sub); phi < next.Phi-1e-12 {
+					t.Errorf("seed %d churn %d: reused touched cluster of %d vertices has exact Φ = %v < φ = %v",
+						seed, churnSeed, len(verts), phi, next.Phi)
+				}
+			}
+		}
 	}
 }
 

@@ -5,22 +5,20 @@ import (
 	"sync"
 
 	"expandergap/internal/graph"
-	"expandergap/internal/primitives"
 )
 
-// This file implements the parallel recursion behind Options.Workers > 1
-// (DESIGN.md §3.12). The sequential Decompose recursion is embarrassingly
-// parallel: after a cut, the two sides are vertex-disjoint pieces of g, and
-// the components of a disconnected piece are likewise disjoint, so every
-// recursive call operates on an independent InduceFiltered view. Three things
-// make the fan-out deterministic and race-free:
+// This file implements the one recursion behind Decompose,
+// DecomposeIncremental and DistributedDecompose (DESIGN.md §3.12). After a
+// cut the two sides are vertex-disjoint pieces of g, and so are the
+// components of a disconnected piece, so every recursive call operates on an
+// independent InduceFiltered view and may run on its own goroutine.
+// Options.Workers only sizes that pool; three things make the output the
+// same at every Workers and under every schedule:
 //
-//   - Per-piece randomness. The sequential path threads one *rand.Rand
-//     through the recursion in DFS order, which any concurrent schedule
-//     would scramble. Each parallel piece instead seeds a fresh PRNG by
-//     hashing (opts.Seed, the piece's vertex set) with FNV-64a, making every
-//     cut search a pure function of its piece — the output is bit-identical
-//     for every Workers > 1 and independent of goroutine scheduling.
+//   - Per-piece randomness. Each piece seeds a fresh PRNG by hashing
+//     (opts.Seed, the piece's vertex set) with FNV-64a, so every cut search
+//     is a pure function of its piece, whichever goroutine runs it and
+//     whenever.
 //
 //   - Bitmap ownership. The removed-edge set is a []bool indexed by base
 //     edge id. A recursion branch writes only the edges crossing its own
@@ -29,11 +27,11 @@ import (
 //     sets, hence disjoint edge sets, so no two goroutines ever touch the
 //     same element and the bitmap needs no lock.
 //
-//   - DFS-ordered assembly. Each call returns its subtree's clusters in the
-//     order the sequential DFS would have discovered them (side A before
-//     side B, components in order); parents concatenate child results after
-//     the join, so cluster IDs come out schedule-independent.
-type parDecomposer struct {
+//   - DFS-ordered assembly. Each call returns its subtree's clusters in DFS
+//     discovery order (side A before side B, components in order); parents
+//     concatenate child results after the join, so cluster IDs come out
+//     schedule-independent.
+type decomposer struct {
 	g       *graph.Graph
 	phi     float64
 	opts    Options
@@ -43,36 +41,24 @@ type parDecomposer struct {
 	// every recursive call.
 	drop func(ei int) bool
 	// sem bounds the extra goroutines at Workers-1 (the calling goroutine is
-	// the Workers-th). A full semaphore degrades to inline recursion instead
-	// of blocking, so the pool can never deadlock on its own children.
+	// the Workers-th; Workers <= 1 leaves no slot). A full semaphore
+	// degrades to inline recursion instead of blocking, so the pool can
+	// never deadlock on its own children.
 	sem chan struct{}
 }
 
-// decomposeParallel is the Workers > 1 entry point dispatched by Decompose;
-// eps has been validated and phi resolved by the caller.
-func decomposeParallel(g *graph.Graph, eps, phi float64, opts Options) *Decomposition {
-	d := &Decomposition{
-		Assignment: make(primitives.ClusterAssignment, g.N()),
-		Eps:        eps,
-		Phi:        phi,
-	}
-	p := &parDecomposer{
+// newDecomposer prepares the recursion over g at conductance target phi;
+// opts must already carry its defaults.
+func newDecomposer(g *graph.Graph, phi float64, opts Options) *decomposer {
+	p := &decomposer{
 		g:       g,
 		phi:     phi,
 		opts:    opts,
 		removed: make([]bool, g.M()),
-		sem:     make(chan struct{}, opts.Workers-1),
+		sem:     make(chan struct{}, max(opts.Workers-1, 0)),
 	}
 	p.drop = func(ei int) bool { return p.removed[ei] }
-	all := make([]int, g.N())
-	for i := range all {
-		all[i] = i
-	}
-	for _, verts := range p.solve(all) {
-		d.addCluster(verts)
-	}
-	d.Removed = removedList(p.removed)
-	return d
+	return p
 }
 
 // pieceSeed derives the PRNG seed of one recursion piece: FNV-64a over the
@@ -99,10 +85,12 @@ func pieceSeed(seed int64, verts []int) int64 {
 	return int64(h)
 }
 
-// solve returns the clusters of the piece `verts` in sequential DFS order.
-// It mirrors the recursion in Decompose exactly, except that the cut search
-// draws from the piece-seeded PRNG and children may run concurrently.
-func (p *parDecomposer) solve(verts []int) [][]int {
+// solve returns the clusters of the piece verts (ascending vertex IDs) in
+// DFS order: a disconnected piece splits into its components, a piece of at
+// most two vertices or no edges is a cluster, and any other piece is split
+// along the best cut its search finds if that cut's conductance is below
+// phi, and is a cluster otherwise.
+func (p *decomposer) solve(verts []int) [][]int {
 	if len(verts) == 0 {
 		return nil
 	}
@@ -150,8 +138,8 @@ func (p *parDecomposer) solve(verts []int) [][]int {
 // last out to the pool when slots are free (inline otherwise — the semaphore
 // never blocks), and concatenates the results in child order. Panics from
 // offloaded children are re-raised on the caller after the join, lowest
-// child first, matching where the sequential recursion would have panicked.
-func (p *parDecomposer) solveChildren(children [][]int) [][]int {
+// child first, matching where an inline recursion would have panicked.
+func (p *decomposer) solveChildren(children [][]int) [][]int {
 	results := make([][][]int, len(children))
 	panics := make([]any, len(children))
 	var wg sync.WaitGroup

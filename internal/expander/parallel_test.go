@@ -7,16 +7,14 @@ import (
 	"expandergap/internal/graph"
 )
 
-// decomposerSweep is the Workers matrix of the parallel-decomposer suite:
-// the sequential ground truth plus pools of 2, 4 and 8.
-var decomposerSweep = []int{1, 2, 4, 8}
+// decomposerSweep is the Workers matrix of the decomposer suite: no pool
+// (0 and 1), and pools of 2, 3, 4 and 8.
+var decomposerSweep = []int{0, 1, 2, 3, 4, 8}
 
-// TestDecomposeParallelGoldenEquivalence runs the E4/E7 golden instances and
-// the served fixtures under every decomposer worker count and demands the
-// pinned sequential fingerprints. On these instances every cut decision is
-// RNG-independent (no cut below the φ target exists, and SweepCut certifies
-// the exact conductance of any candidate), so the per-piece seed derivation
-// of the parallel path must not change a single output byte.
+// TestDecomposeParallelGoldenEquivalence runs the golden instances and the
+// served fixtures at pool sizes 1, 2, 4 and 8 and demands their pinned
+// fingerprints (TestDecomposeGolden), including the stress grid, whose
+// recursion takes dozens of randomized cuts.
 func TestDecomposeParallelGoldenEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2022))
 	base := graph.RandomPlanar(36, 0.7, rng)
@@ -36,6 +34,8 @@ func TestDecomposeParallelGoldenEquivalence(t *testing.T) {
 			opts: Options{Seed: 2022}, fp: 0x6bc5cb0cea2dee24},
 		{name: "grid16x16-deterministic", g: graph.Grid(16, 16), eps: 0.25,
 			opts: Options{Seed: 99, Deterministic: true}, fp: 0x5177aa8a268ecc24},
+		{name: "grid16x16-phiStress0.15", g: graph.Grid(16, 16), eps: 0.999,
+			opts: Options{Seed: 2022, Phi: 0.15}, fp: 0x7cd50cc24424a73d},
 		{name: "er800-eps0.3", g: er800Fixture(), eps: 0.3,
 			opts: Options{Seed: 1}, fp: 0xf33cd0deb4964d85},
 	}
@@ -45,7 +45,7 @@ func TestDecomposeParallelGoldenEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range decomposerSweep {
+			for _, workers := range []int{1, 2, 4, 8} {
 				opts := tc.opts
 				opts.Workers = workers
 				d, err := Decompose(tc.g, tc.eps, opts)
@@ -53,48 +53,20 @@ func TestDecomposeParallelGoldenEquivalence(t *testing.T) {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				if fp := decompositionFingerprint(d); fp != tc.fp {
-					t.Errorf("workers=%d: fingerprint = %#x, want %#x (parallel output drifted from the sequential ground truth)",
-						workers, fp, tc.fp)
+					t.Errorf("workers=%d: fingerprint = %#x, want %#x", workers, fp, tc.fp)
 				}
 			}
 		})
 	}
 }
 
-// TestDecomposeParallelDeterministicEquivalence pins the strongest claim the
-// parallel path makes: under Options.Deterministic the cut search consumes
-// no caller randomness at all, so parallel output must be bit-identical to
-// sequential on any instance — including the stress setting whose deep
-// recursion takes dozens of cuts.
-func TestDecomposeParallelDeterministicEquivalence(t *testing.T) {
-	g := graph.Grid(16, 16)
-	opts := Options{Seed: 2022, Phi: 0.15, Deterministic: true}
-	seq, err := Decompose(g, 0.999, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Clusters) < 2 {
-		t.Fatalf("stress instance should split (got %d clusters)", len(seq.Clusters))
-	}
-	want := decompositionFingerprint(seq)
-	for _, workers := range decomposerSweep[1:] {
-		o := opts
-		o.Workers = workers
-		d, err := Decompose(g, 0.999, o)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if fp := decompositionFingerprint(d); fp != want {
-			t.Errorf("workers=%d: deterministic fingerprint = %#x, want sequential %#x", workers, fp, want)
-		}
-	}
-}
-
-// TestDecomposeParallelWorkerInvariance checks that the randomized parallel
-// path is a pure function of (graph, eps, opts) — identical output for every
-// Workers > 1 and every scheduling — on instances whose cut decisions DO
-// depend on the RNG: the deep-recursion stress grid and a random maximal
-// planar graph. It also verifies the (ε, φ) contract on the result.
+// TestDecomposeParallelWorkerInvariance checks that Workers only sizes the
+// pool: the output is a pure function of (graph, eps, the other options),
+// the same at every entry of decomposerSweep, on instances whose cuts depend
+// on the PRNG — the deep-recursion stress grid, a random maximal planar
+// graph, and the speedup gate's workload (bench_test.go) — and on the stress
+// grid in deterministic mode, where every instance must split. It also
+// verifies the (ε, φ) contract on each result.
 func TestDecomposeParallelWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cases := []struct {
@@ -102,16 +74,25 @@ func TestDecomposeParallelWorkerInvariance(t *testing.T) {
 		g    *graph.Graph
 		eps  float64
 		opts Options
+		// estimateBelowPhi marks an instance whose clusters over
+		// conductance.MaxExactN vertices get a Cheeger estimate below φ from
+		// Verify (0.029 at φ 0.15 on maxplanar300), so ConductanceOK is not
+		// asserted there.
+		estimateBelowPhi bool
 	}{
 		{name: "grid16x16-phiStress0.15", g: graph.Grid(16, 16), eps: 0.999,
 			opts: Options{Seed: 2022, Phi: 0.15}},
+		{name: "grid16x16-phiStress0.15-deterministic", g: graph.Grid(16, 16), eps: 0.999,
+			opts: Options{Seed: 2022, Phi: 0.15, Deterministic: true}},
 		{name: "planar200-eps0.3", g: graph.RandomMaximalPlanar(200, rng), eps: 0.3,
 			opts: Options{Seed: 1}},
+		{name: "maxplanar300-phiStress0.15", g: graph.RandomMaximalPlanar(300, rand.New(rand.NewSource(1))), eps: 0.999,
+			opts: Options{Seed: 1, Phi: 0.15}, estimateBelowPhi: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var want uint64
-			for i, workers := range []int{2, 3, 4, 8} {
+			for i, workers := range decomposerSweep {
 				opts := tc.opts
 				opts.Workers = workers
 				d, err := Decompose(tc.g, tc.eps, opts)
@@ -122,13 +103,16 @@ func TestDecomposeParallelWorkerInvariance(t *testing.T) {
 				if i == 0 {
 					want = fp
 					rep := d.Verify(tc.g, rand.New(rand.NewSource(7)))
-					if !rep.CutOK || !rep.ConductanceOK || !rep.Connected {
+					if !rep.CutOK || !rep.ConductanceOK && !tc.estimateBelowPhi || !rep.Connected {
 						t.Errorf("workers=%d: contract violated: %+v", workers, rep)
+					}
+					if tc.opts.Deterministic && len(d.Clusters) < 2 {
+						t.Errorf("stress instance should split (got %d clusters)", len(d.Clusters))
 					}
 					continue
 				}
 				if fp != want {
-					t.Errorf("workers=%d: fingerprint = %#x, want %#x (parallel output depends on worker count)",
+					t.Errorf("workers=%d: fingerprint = %#x, want %#x (output depends on the worker count)",
 						workers, fp, want)
 				}
 			}
@@ -136,9 +120,9 @@ func TestDecomposeParallelWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestDecomposeParallelRepeatedRuns re-runs the same parallel decomposition
-// several times at a fixed worker count: goroutine scheduling varies between
-// runs, the output must not.
+// TestDecomposeParallelRepeatedRuns re-runs the same decomposition several
+// times on a pool of 4: goroutine scheduling varies between runs, the output
+// must not.
 func TestDecomposeParallelRepeatedRuns(t *testing.T) {
 	g := graph.Grid(16, 16)
 	opts := Options{Seed: 2022, Phi: 0.15, Workers: 4}
@@ -154,7 +138,7 @@ func TestDecomposeParallelRepeatedRuns(t *testing.T) {
 			continue
 		}
 		if fp != want {
-			t.Fatalf("run %d: fingerprint = %#x, want %#x (parallel output is schedule-dependent)", run, fp, want)
+			t.Fatalf("run %d: fingerprint = %#x, want %#x (output is schedule-dependent)", run, fp, want)
 		}
 	}
 }

@@ -1,17 +1,15 @@
-package graph_test
+package graph
 
 import (
 	"math/rand"
 	"testing"
-
-	"expandergap/internal/graph"
 )
 
 // planarHalf returns the 256-vertex random maximal planar graph used by the
 // subgraph benchmarks together with its even-vertex half.
-func planarHalf() (*graph.Graph, []int) {
+func planarHalf() (*Graph, []int) {
 	rng := rand.New(rand.NewSource(7))
-	g := graph.RandomMaximalPlanar(256, rng)
+	g := RandomMaximalPlanar(256, rng)
 	verts := make([]int, 0, g.N()/2)
 	for v := 0; v < g.N(); v += 2 {
 		verts = append(verts, v)
@@ -34,13 +32,14 @@ func BenchmarkInduceView(b *testing.B) {
 }
 
 // BenchmarkInducedSubgraphCopy measures the materializing counterpart of
-// BenchmarkInduceView: the same subset, copied out through a Builder.
+// BenchmarkInduceView: the same subset, copied out through a Builder by the
+// naive reference copy (subgraph_ref_test.go).
 func BenchmarkInducedSubgraphCopy(b *testing.B) {
 	g, verts := planarHalf()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sub, _ := g.InducedSubgraph(verts)
+		sub, _ := inducedSubgraph(g, verts)
 		if sub.N() != len(verts) {
 			b.Fatal("wrong subgraph size")
 		}

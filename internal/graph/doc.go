@@ -23,16 +23,16 @@
 //
 // The recursive algorithms in this repository (expander decomposition, ball
 // carving, cluster verification) repeatedly restrict a graph to a vertex
-// subset. Materializing each restriction with InducedSubgraph costs a full
+// subset. Materializing each restriction as a new *Graph would cost a full
 // Builder pass per recursion level. The View type avoids that: Induce and
 // InduceFiltered build a zero-copy subgraph view that shares the backing
 // graph's edge list, weights and signs, adding only a small local adjacency
 // index. Both *Graph and *View satisfy the read-only G interface, and the
 // package-level helpers (BFSOf, ComponentsOf, DiameterOf, ...) run on
 // either. View.Materialize converts a view into the equivalent standalone
-// *Graph — bit-identical to the InducedSubgraph result — when an independent
-// copy is genuinely needed (for example to hand to a solver that outlives
-// the base graph). See DESIGN.md §3.11 for the aliasing and ownership
+// *Graph when an independent copy is genuinely needed (for example to hand
+// to a solver that outlives the base graph); views are the package's only
+// subgraph mechanism. See DESIGN.md §3.11 for the aliasing and ownership
 // contract.
 //
 // # Input and output

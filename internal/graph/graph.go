@@ -394,75 +394,3 @@ func FromEdges(n int, edges []Edge) *Graph {
 	}
 	return b.Graph()
 }
-
-// InducedSubgraph returns the subgraph of g induced by the vertex set verts,
-// along with the mapping from new vertex IDs (0..len(verts)-1) back to the
-// original IDs. Weights and signs are preserved. Duplicate vertices in verts
-// panic.
-//
-// This materializes a full copy. When the subgraph is only read (degree
-// scans, BFS, conductance sweeps), prefer the zero-copy Induce view.
-func (g *Graph) InducedSubgraph(verts []int) (*Graph, []int) {
-	toNew := make(map[int]int, len(verts))
-	toOld := make([]int, len(verts))
-	for i, v := range verts {
-		if _, dup := toNew[v]; dup {
-			panic(fmt.Sprintf("graph: duplicate vertex %d in induced subgraph", v))
-		}
-		if v < 0 || v >= g.n {
-			panic(fmt.Sprintf("graph: vertex %d out of range for n=%d", v, g.n))
-		}
-		toNew[v] = i
-		toOld[i] = v
-	}
-	b := NewBuilder(len(verts))
-	for i, v := range toOld {
-		g.ForEachNeighbor(v, func(to, idx int) {
-			j, ok := toNew[to]
-			if !ok || j <= i {
-				return
-			}
-			switch {
-			case g.weight != nil:
-				b.AddWeightedEdge(i, j, g.weight[idx])
-			case g.sign != nil:
-				b.AddSignedEdge(i, j, g.sign[idx])
-			default:
-				b.AddEdge(i, j)
-			}
-		})
-	}
-	return b.Graph(), toOld
-}
-
-// SubgraphFromEdgeSet returns the graph on the same vertex set containing
-// exactly the edges whose indices are in keep.
-func (g *Graph) SubgraphFromEdgeSet(keep map[int]bool) *Graph {
-	b := NewBuilder(g.n)
-	for idx, e := range g.edges {
-		if !keep[idx] {
-			continue
-		}
-		switch {
-		case g.weight != nil:
-			b.AddWeightedEdge(e.U, e.V, g.weight[idx])
-		case g.sign != nil:
-			b.AddSignedEdge(e.U, e.V, g.sign[idx])
-		default:
-			b.AddEdge(e.U, e.V)
-		}
-	}
-	return b.Graph()
-}
-
-// RemoveEdges returns the graph on the same vertex set with the edges whose
-// indices appear in drop removed.
-func (g *Graph) RemoveEdges(drop map[int]bool) *Graph {
-	keep := make(map[int]bool, len(g.edges))
-	for idx := range g.edges {
-		if !drop[idx] {
-			keep[idx] = true
-		}
-	}
-	return g.SubgraphFromEdgeSet(keep)
-}

@@ -204,9 +204,12 @@ func TestEdgeOther(t *testing.T) {
 	e.Other(5)
 }
 
+// TestInducedSubgraph, TestSubgraphFromEdgeSetAndRemove and
+// TestQuickInducedSubgraph check the naive subgraph copies the view tests
+// compare against (subgraph_ref_test.go).
 func TestInducedSubgraph(t *testing.T) {
 	g := Grid(3, 3)
-	sub, toOld := g.InducedSubgraph([]int{0, 1, 3, 4})
+	sub, toOld := inducedSubgraph(g, []int{0, 1, 3, 4})
 	if sub.N() != 4 {
 		t.Fatalf("sub.N = %d, want 4", sub.N())
 	}
@@ -220,7 +223,7 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 	// Weights survive induction.
 	wg := WithRandomWeights(g, 50, rand.New(rand.NewSource(1)))
-	wsub, toOld2 := wg.InducedSubgraph([]int{0, 1, 2})
+	wsub, toOld2 := inducedSubgraph(wg, []int{0, 1, 2})
 	for i := 0; i < wsub.M(); i++ {
 		e := wsub.EdgeAt(i)
 		oi, ok := wg.EdgeIndex(toOld2[e.U], toOld2[e.V])
@@ -236,11 +239,11 @@ func TestInducedSubgraph(t *testing.T) {
 func TestSubgraphFromEdgeSetAndRemove(t *testing.T) {
 	g := Cycle(5)
 	keep := map[int]bool{0: true, 2: true}
-	sub := g.SubgraphFromEdgeSet(keep)
+	sub := subgraphFromEdgeSet(g, keep)
 	if sub.M() != 2 || sub.N() != 5 {
 		t.Fatalf("sub = %v, want n=5 m=2", sub)
 	}
-	rem := g.RemoveEdges(keep)
+	rem := removeEdges(g, keep)
 	if rem.M() != 3 {
 		t.Fatalf("rem.M = %d, want 3", rem.M())
 	}
@@ -639,7 +642,7 @@ func TestQuickInducedSubgraph(t *testing.T) {
 				inSet[v] = true
 			}
 		}
-		sub, toOld := g.InducedSubgraph(verts)
+		sub, toOld := inducedSubgraph(g, verts)
 		want := 0
 		for _, e := range g.Edges() {
 			if inSet[e.U] && inSet[e.V] {

@@ -70,10 +70,7 @@ type View struct {
 
 // Induce returns the zero-copy view of g induced by the vertex set verts.
 // Local vertex IDs are assigned in ascending base-ID order (verts need not
-// be sorted); duplicate or out-of-range vertices panic, as with
-// InducedSubgraph. Note that InducedSubgraph numbers local vertices in input
-// order, so the two agree vertex-for-vertex exactly when verts is sorted
-// ascending — which is how every decomposition-stack caller passes them.
+// be sorted); duplicate or out-of-range vertices panic.
 func (g *Graph) Induce(verts []int) *View { return g.InduceFiltered(verts, nil) }
 
 // InduceFiltered returns the view of g induced by verts, additionally
@@ -290,8 +287,8 @@ func (s *View) Signed() bool { return len(s.gedge) > 0 && s.base.Signed() }
 // BaseVertex returns the base-graph ID of local vertex v.
 func (s *View) BaseVertex(v int) int { return int(s.toOld[v]) }
 
-// BaseVertices returns the local-to-base vertex mapping as a fresh slice —
-// the same mapping InducedSubgraph returns alongside its copy.
+// BaseVertices returns the local-to-base vertex mapping as a fresh slice,
+// the same mapping Materialize returns alongside its copy.
 func (s *View) BaseVertices() []int {
 	out := make([]int, len(s.toOld))
 	for i, v := range s.toOld {
@@ -330,10 +327,10 @@ func (s *View) Connected() bool { return ConnectedOf(s) }
 func (s *View) Components() [][]int { return ComponentsOf(s) }
 
 // Materialize builds the standalone *Graph equivalent to this view, plus the
-// local-to-base vertex mapping — bit-identical (vertex IDs, edge indices,
-// weights, signs) to what InducedSubgraph/RemoveEdges would have produced
-// for the same subset and filter. Use it when the subgraph must outlive the
-// base graph or be mutated into a new Builder lineage.
+// local-to-base vertex mapping: local vertex IDs, canonical edge order,
+// weights and signs, as a Builder would produce them from the surviving
+// edges. Use it when the subgraph must outlive the base graph or be mutated
+// into a new Builder lineage.
 func (s *View) Materialize() (*Graph, []int) {
 	b := NewBuilder(s.N())
 	for _, gi := range s.gedge {

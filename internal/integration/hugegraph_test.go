@@ -181,7 +181,7 @@ func TestHugeGraphRoundTrip(t *testing.T) {
 		verts[i] = i * 3
 	}
 	patch := func(gg *graph.Graph) *expander.Decomposition {
-		sub, _ := gg.InducedSubgraph(verts)
+		sub, _ := gg.Induce(verts).Materialize()
 		d, err := expander.Decompose(sub, 0.3, expander.Options{Seed: 9})
 		if err != nil {
 			t.Fatal(err)

@@ -27,8 +27,8 @@ type Spec struct {
 	Eps float64 `json:"eps"`
 	// Seed drives the decomposer.
 	Seed int64 `json:"seed"`
-	// DecWorkers sizes the parallel decomposition recursion (<=1 runs the
-	// sequential ground truth; output is identical either way).
+	// DecWorkers sizes the decomposer's goroutine pool (expander
+	// Options.Workers); the decomposition is the same at every value.
 	DecWorkers int `json:"dec_workers"`
 }
 

@@ -62,7 +62,7 @@ func TestQuickBallCarvingInvariants(t *testing.T) {
 			groups[l] = append(groups[l], v)
 		}
 		for _, members := range groups {
-			sub, _ := g.InducedSubgraph(members)
+			sub, _ := g.Induce(members).Materialize()
 			if !sub.Connected() {
 				return false
 			}
