@@ -50,7 +50,6 @@ func main() {
 	epsFlag := flag.Float64("eps", 0.3, "decomposition edge-removal budget ε")
 	seedFlag := flag.Int64("seed", 1, "decomposition seed")
 	decWorkers := flag.Int("decworkers", 1, "decomposer goroutine pool size (the decomposition is the same at every value)")
-	simWorkers := flag.Int("simworkers", 0, "simulator executor workers per query (0 = sequential)")
 	batchWindow := flag.Duration("batchwindow", 2*time.Millisecond, "how long a flight leader waits for coalescing followers")
 	runPool := flag.Int("runpool", 0, "canonical-run pool workers (0 = min(GOMAXPROCS, NumCPU))")
 	queueDepth := flag.Int("queuedepth", 0, "admission queue depth before 429s (0 = 4x pool workers)")
@@ -70,7 +69,6 @@ func main() {
 			Path: *graphFlag, Mmap: *mmapFlag,
 			Eps: *epsFlag, Seed: *seedFlag, DecWorkers: *decWorkers,
 		},
-		SimWorkers:  *simWorkers,
 		BatchWindow: *batchWindow,
 		RunPool:     *runPool,
 		QueueDepth:  *queueDepth,

@@ -7,7 +7,7 @@
 //	simrun -algo maxis|mcm|mwm|corrclust|ldd|proptest|luby|greedy|pivot|mpx
 //	       [-family grid|trigrid|torus|planar|tree] [-n 64] [-eps 0.25] [-seed 1]
 //	       [-in file] [-mmap]
-//	       [-workers 4] [-cpuprofile cpu.prof] [-memprofile mem.prof]
+//	       [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //	       [-trace out.jsonl] [-report out.json] [-phases]
 //
 // With -in, the network graph is read from a file (text edge list or binary
@@ -55,7 +55,6 @@ func main() {
 	detFlag := flag.Bool("deterministic", false, "use the deterministic (tree-routing) framework track")
 	distFlag := flag.Bool("distributed", false, "use the distributed (MPX+refine) decomposer")
 	faultFlag := flag.Float64("faults", 0, "message drop probability (failure-path exploration)")
-	workersFlag := flag.Int("workers", 0, "parallel simulator workers (0 = sequential)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFlag := flag.String("trace", "", "write a per-round JSONL trace to this file")
@@ -97,7 +96,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simrun: %v\n", gerr)
 		os.Exit(2)
 	}
-	cfg := congest.Config{Seed: *seedFlag, FaultRate: *faultFlag, Workers: *workersFlag}
+	cfg := congest.Config{Seed: *seedFlag, FaultRate: *faultFlag}
 
 	var obs *congest.Observer
 	var traceFile *os.File

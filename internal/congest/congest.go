@@ -53,15 +53,9 @@ type Config struct {
 	// never as wrong answers). Dropped messages still count in Metrics
 	// (they were sent). Each drop coin is a pure hash of (Seed, round,
 	// sender, receiver), so whether one message drops never depends on what
-	// other messages exist — fault patterns are stable under refactors and
-	// under the parallel executor.
+	// other messages exist or in which order they are delivered — fault
+	// patterns are stable under refactors of the scheduler.
 	FaultRate float64
-	// Workers selects the executor. 0 (the default) runs the canonical
-	// sequential loop; k ≥ 1 shards each round's delivery and compute
-	// phases across k worker goroutines. Results (outputs and metrics) are
-	// bit-for-bit identical across all Workers values for a fixed Seed,
-	// provided handlers keep their state per-vertex (see the package doc).
-	Workers int
 	// Obs, when non-nil, receives phase-attributed per-round accounting
 	// (and, if enabled on the Observer, a JSONL trace stream). The observer
 	// is passive: it never affects message contents, PRNG streams, or
@@ -109,21 +103,6 @@ type Handler interface {
 	Round(v *Vertex, round int, recv []Incoming)
 }
 
-// vertexMetrics is a per-vertex metrics shard. Sends and halts account here,
-// with no shared-state contention; shards are drained into the run's Metrics
-// and termination counters at each round barrier, so the aggregate is exact
-// at every barrier and identical whether rounds execute sequentially or in
-// parallel.
-type vertexMetrics struct {
-	messages int64
-	words    int64
-	maxWords int
-	halts    int
-	// hist counts this shard's sends by message-size bucket. Maintained
-	// only when an Observer is attached (Send gates on sim.obs != nil).
-	hist [histBuckets]int64
-}
-
 // msgArena is one half of a vertex's double-buffered message arena. Buffers
 // handed out in round r (parity r&1) are reclaimed when the same parity
 // comes around again in round r+2 — by which time every receiver's Round
@@ -138,22 +117,19 @@ type msgArena struct {
 // may only use the exposed methods; the global graph is not reachable from
 // it, preserving the locality of the model.
 //
-// Vertices live in one contiguous value slice; their ports, outbox slots,
-// and sent lists are sub-slices of shared flat arrays (the CSR layout of
-// DESIGN.md §3.8).
+// Vertices live in one contiguous value slice; their ports and outbox slots
+// are sub-slices of shared flat arrays (the CSR layout of DESIGN.md §3.8).
 type Vertex struct {
 	sim       *Simulator
 	id        int
 	ports     []int32   // neighbor IDs by port, ascending (view into flat array)
 	outbox    []Message // view into the shared flat outbox array
-	sent      []int32   // ports sent on since the last barrier, in send order (capacity = degree)
 	halted    bool
 	asleep    bool // quiescent: skipped by the scheduler until woken
 	wakeAt    int  // absolute round of the pending SleepUntil timer; 0 = none
 	rng       *rand.Rand
 	rngSeeded bool // lazily (re)seeded on first Rand() per execution
 	output    any
-	local     vertexMetrics
 	arenas    [2]msgArena
 }
 
@@ -243,6 +219,12 @@ func (v *Vertex) MsgBuf(words int) Message {
 // Send queues msg for delivery to the neighbor on port in the next round.
 // Sending twice to the same port in one round, sending on an invalid port,
 // or exceeding the CONGEST budget panics.
+//
+// The message goes straight onto the receiver's pending list, as the flat
+// outbox index off[v]+port, and its costs go straight into the run's
+// Metrics and the observer's round histogram. Vertices send in ascending ID
+// order (Init and the step list both ascend), so every pending list, and
+// with it every inbox, is ascending by sender ID.
 func (v *Vertex) Send(port int, msg Message) {
 	if port < 0 || port >= len(v.ports) {
 		panic(fmt.Sprintf("congest: vertex %d send on invalid port %d (degree %d)", v.id, port, len(v.ports)))
@@ -250,21 +232,33 @@ func (v *Vertex) Send(port int, msg Message) {
 	if v.outbox[port] != nil {
 		panic(fmt.Sprintf("congest: vertex %d sent twice on port %d in one round", v.id, port))
 	}
-	if len(msg) > v.local.maxWords {
-		v.local.maxWords = len(msg)
-	}
-	if v.sim.obs != nil {
-		v.local.hist[histBucket(len(msg))]++
-	}
-	v.sim.checkMessage(v.id, msg)
+	s := v.sim
+	s.checkMessage(v.id, msg)
 	if len(msg) == 0 {
 		// Distinguish "send empty message" from "no send".
 		msg = Message{}
 	}
 	v.outbox[port] = msg
-	v.sent = append(v.sent, int32(port))
-	v.local.messages++
-	v.local.words += int64(len(msg))
+	rcv := v.ports[port]
+	c := s.pendingCount[rcv]
+	if c == 0 {
+		s.deliverList = append(s.deliverList, rcv)
+	}
+	s.pendingFlat[s.off[rcv]+c] = s.off[v.id] + int32(port)
+	s.pendingCount[rcv] = c + 1
+	s.pendingMsgs++
+	words := len(msg)
+	s.metrics.Messages++
+	s.metrics.Words += int64(words)
+	if words > s.metrics.MaxWordsPerMsg {
+		s.metrics.MaxWordsPerMsg = words
+	}
+	if s.obs != nil {
+		s.roundHist[histBucket(words)]++
+		if words > s.roundMax {
+			s.roundMax = words
+		}
+	}
 }
 
 // SendWords queues an arena-backed message with the given words on port: the
@@ -307,7 +301,7 @@ func (v *Vertex) BroadcastWords(words ...int64) {
 func (v *Vertex) Halt() {
 	if !v.halted {
 		v.halted = true
-		v.local.halts++
+		v.sim.haltedCount++
 	}
 }
 
@@ -434,18 +428,17 @@ type Simulator struct {
 
 	// Observability (nil when Config.Obs is unset; see trace.go). roundHist
 	// and roundMax collect the current round's message-size histogram and
-	// largest message from the vertex shards at the barrier; recordRound
-	// drains them. wordBits caches BitsPerWord(n) for bit attribution.
+	// largest message as Send queues them; recordRound drains them.
+	// wordBits caches BitsPerWord(n) for bit attribution.
 	obs       *Observer
 	wordBits  int
 	roundHist [histBuckets]int64
 	roundMax  int
 
 	// O(1) termination tracking (DESIGN.md §3.8): haltedCount is the number
-	// of vertices that have halted, pendingMsgs the number of messages
-	// queued by the most recent Init/compute phase. Both are maintained
-	// from per-vertex shards merged at the round barrier, and are exact
-	// there because delivery drains every outbox every round.
+	// of vertices that have halted (Halt counts it), pendingMsgs the number
+	// of messages queued by the most recent Init/compute phase (Send counts
+	// it, Step zeroes it once delivery has drained every outbox).
 	haltedCount int
 	pendingMsgs int64
 	// curRound is the round whose compute (or Init, round 0) phase is
@@ -453,8 +446,8 @@ type Simulator struct {
 	curRound int
 
 	// CSR layout, built once per Simulator and shared by all executions:
-	// vertex v's ports, reverse ports, outbox slots, sent and pending lists,
-	// and inbox are the flat-array ranges [off[v], off[v+1]). Flat index
+	// vertex v's ports, reverse ports, outbox slots, pending list, and inbox
+	// are the flat-array ranges [off[v], off[v+1]). Flat index
 	// off[v]+p names v's port p; rportFlat[off[v]+p] is the port on neighbor
 	// portsFlat[off[v]+p] that leads back to v.
 	off       []int32
@@ -464,7 +457,6 @@ type Simulator struct {
 	// Reusable per-run state.
 	verts       []Vertex
 	outboxFlat  []Message
-	sentFlat    []int32
 	pendingFlat []int32 // flat outbox indices of the messages queued to v; v's list is pendingCount[v] long
 	inboxFlat   []Incoming
 	inboxes     [][]Incoming
@@ -472,14 +464,14 @@ type Simulator struct {
 	active      bool
 
 	// Sparse activation scheduler (sched.go, DESIGN.md §3.10). All worklists
-	// are preallocated to capacity n by buildLayout and rebuilt at round
-	// barriers, keeping the steady-state round loop allocation-free while
-	// costing O(active + messages) per round instead of O(n + m).
+	// are preallocated to capacity n by buildLayout, keeping the
+	// steady-state round loop allocation-free while costing O(active +
+	// messages) per round instead of O(n + m).
 	awake        []int32   // vertices eligible to step next round, ascending
 	stepList     []int32   // vertices stepped this round, ascending
 	wakeList     []int32   // sleepers woken this round, ascending once sorted
-	deliverList  []int32   // vertices with queued incoming messages, deduped, unordered
-	pendingCount []int32   // length of each vertex's pending list (0 unless listed): the delivery balance weight
+	deliverList  []int32   // vertices with queued incoming messages, deduped, in first-send order
+	pendingCount []int32   // length of each vertex's pending list (0 unless listed)
 	inboxRound   []int     // round whose messages inboxes[v] currently holds
 	timers       timerHeap // pending SleepUntil wakes, lazily deleted
 	timerStamp   []int     // latest wake round pushed per vertex, to dedup re-sleeps
@@ -502,8 +494,8 @@ func (s *Simulator) Graph() *graph.Graph { return s.g }
 // Config returns the effective configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 
-// checkMessage validates msg against the model. It must stay free of
-// Simulator mutation: it runs concurrently from all workers.
+// checkMessage validates msg against the model; Send calls it before
+// queueing anything, so a violation panics with the run state untouched.
 func (s *Simulator) checkMessage(sender int, msg Message) {
 	if s.cfg.Model == LOCAL {
 		return
@@ -566,7 +558,6 @@ func (s *Simulator) buildLayout() {
 		})
 	}
 	s.outboxFlat = make([]Message, total)
-	s.sentFlat = make([]int32, total)
 	s.pendingFlat = make([]int32, total)
 	s.inboxFlat = make([]Incoming, total)
 	s.verts = make([]Vertex, n)
@@ -587,66 +578,27 @@ func (s *Simulator) buildLayout() {
 			id:     v,
 			ports:  s.portsFlat[lo:hi:hi],
 			outbox: s.outboxFlat[lo:hi:hi],
-			sent:   s.sentFlat[lo:lo:hi],
 		}
 		s.inboxes[v] = s.inboxFlat[lo:lo:hi]
 	}
 }
 
-// mergeShards drains every vertex's metrics shard into the run aggregate and
-// the termination counters — the dense O(n) merge, used only after the Init
-// phase, where any vertex may have sent or halted. Round barriers use the
-// sparse mergeStepped (sched.go) instead, which visits only the vertices
-// that stepped. pendingMsgs is exact here because delivery drains every
-// outbox every round, so the only queued messages are the ones sent since
-// the previous barrier.
-func (s *Simulator) mergeShards() {
-	var phaseSends int64
-	for i := range s.verts {
-		v := &s.verts[i]
-		s.metrics.Messages += v.local.messages
-		s.metrics.Words += v.local.words
-		phaseSends += v.local.messages
-		s.haltedCount += v.local.halts
-		if v.local.maxWords > s.metrics.MaxWordsPerMsg {
-			s.metrics.MaxWordsPerMsg = v.local.maxWords
-		}
-		if s.obs != nil && v.local.messages != 0 {
-			if v.local.maxWords > s.roundMax {
-				s.roundMax = v.local.maxWords
-			}
-			for b, c := range v.local.hist {
-				if c != 0 {
-					s.roundHist[b] += c
-				}
-			}
-		}
-		v.local = vertexMetrics{}
-	}
-	s.pendingMsgs = phaseSends
-}
-
-// deliver moves queued messages into the inboxes of the deliverList
-// receivers at positions lo..hi-1 for the given round. Each receiver walks
-// only its own pending list — the flat outbox indices of its queued
-// messages, recorded by mergeStepped (or resetSchedule) — claims each
-// message from the sender's outbox slot, and recovers its own port from the
-// reverse-port array, so delivery costs O(messages), not O(degree). The
-// pending list is ascending by sender ID (senders are queued in ascending
-// ID order), so (a) inbox order is canonically ascending by sender ID
-// regardless of which worker delivers, and (b) no two workers ever touch
-// the same outbox slot (each slot has exactly one receiver, and each
-// receiver appears once in the deduped deliverList). Every queued message
-// is drained here — deliverList covers all receivers of the previous
-// phase's sends by construction — which is what keeps pendingMsgs exact at
-// barriers, and every pending count is zeroed, which is what lets the next
-// barrier list a receiver on its first message. inboxRound is stamped even
-// when every message to a receiver is dropped by fault injection, so stale
-// inbox contents from an earlier round can never be re-observed.
-func (s *Simulator) deliver(round, lo, hi int) {
+// deliver moves the queued messages into the inboxes of every deliverList
+// receiver for the given round. Each receiver walks only its own pending
+// list — the flat outbox indices of its queued messages, recorded by Send —
+// claims each message from the sender's outbox slot, and recovers its own
+// port from the reverse-port array, so delivery costs O(messages), not
+// O(degree). The pending list is ascending by sender ID, so inbox order is
+// canonically ascending by sender ID. Every queued message is drained here —
+// deliverList covers all receivers of the previous phase's sends by
+// construction — and every pending count is zeroed, which is what lets the
+// next phase's Send list a receiver on its first message. inboxRound is
+// stamped even when every message to a receiver is dropped by fault
+// injection, so stale inbox contents from an earlier round can never be
+// re-observed.
+func (s *Simulator) deliver(round int) {
 	fault := s.cfg.FaultRate
-	for i := lo; i < hi; i++ {
-		id := int(s.deliverList[i])
+	for _, id := range s.deliverList {
 		v := &s.verts[id]
 		inbox := s.inboxes[id][:0]
 		base := s.off[id]
@@ -655,7 +607,7 @@ func (s *Simulator) deliver(round, lo, hi int) {
 			s.outboxFlat[e] = nil
 			p := s.rportFlat[e]
 			from := v.ports[p]
-			if fault > 0 && faultCoin(s.cfg.Seed, round, int(from), id) < fault {
+			if fault > 0 && faultCoin(s.cfg.Seed, round, int(from), int(id)) < fault {
 				continue // dropped in transit (still counted as sent)
 			}
 			inbox = append(inbox, Incoming{Port: int(p), From: int(from), Msg: msg})
@@ -672,21 +624,9 @@ func (s *Simulator) deliver(round, lo, hi int) {
 // performs no heap allocations in the steady state, which is what the
 // substrate benchmarks measure.
 type Execution struct {
-	s         *Simulator
-	exec      *executor
-	round     int
-	done      bool
-	closed    bool
-	deliverFn func(lo, hi int)
-	computeFn func(lo, hi int)
-	// Balance weights for the parallel executor's chunk boundaries (see
-	// parallel.go and DESIGN.md §3.12): delivery is weighted by the number
-	// of messages queued to each receiver (deliver walks only its pending
-	// list), compute by vertex degree (which bounds both the inbox walk and
-	// a handler's send fan-out). Both read only barrier-built state, so
-	// boundaries are a pure function of the worklist.
-	deliverWt func(i int) int
-	computeWt func(i int) int
+	s      *Simulator
+	round  int
+	closed bool
 	// obsPrev is the metrics snapshot at the previous round barrier; the
 	// delta against it is what Step attributes to the observer's current
 	// phase. Sends queued during Init are included in round 1's delta.
@@ -716,7 +656,6 @@ func (s *Simulator) Start(newHandler func(v *Vertex) Handler) *Execution {
 		v.asleep = false
 		v.wakeAt = 0
 		v.output = nil
-		v.local = vertexMetrics{}
 		v.arenas[0].used, v.arenas[0].round = 0, -1
 		v.arenas[1].used, v.arenas[1].round = 0, -1
 		// Marking the rng stale is enough: Rand() reseeds on first use, so
@@ -726,78 +665,34 @@ func (s *Simulator) Start(newHandler func(v *Vertex) Handler) *Execution {
 		for p := range v.outbox {
 			v.outbox[p] = nil
 		}
-		v.sent = v.sent[:0]
 		lo := s.off[i]
 		s.inboxes[i] = s.inboxFlat[lo:lo]
 	}
 	for id := 0; id < n; id++ {
 		s.handlers[id] = newHandler(&s.verts[id])
 	}
-
-	e := &Execution{s: s, exec: newExecutor(s.cfg.Workers, n)}
-	// The two phase closures are built once per execution so the round loop
-	// itself allocates nothing. Both operate on worklist index ranges, not
-	// vertex ID ranges: delivery walks deliverList, compute walks stepList.
-	e.deliverFn = func(lo, hi int) { s.deliver(e.round, lo, hi) }
-	e.computeFn = func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			id := int(s.stepList[i])
-			v := &s.verts[id]
-			if v.halted {
-				continue
-			}
-			var recv []Incoming
-			if s.inboxRound[id] == e.round {
-				recv = s.inboxes[id]
-			}
-			s.handlers[id].Round(v, e.round, recv)
-		}
-	}
-	e.deliverWt = func(i int) int {
-		return int(s.pendingCount[s.deliverList[i]])
-	}
-	e.computeWt = func(i int) int {
-		id := s.stepList[i]
-		return int(s.off[id+1] - s.off[id])
-	}
-
-	// Init stays sequential: it runs once, and construction-time state is
-	// where test harnesses legitimately share setup across vertices.
+	// Init's sends queue onto the pending lists, so whatever a failed run
+	// left there must be cleared first.
+	s.resetSchedule()
 	for id := 0; id < n; id++ {
 		s.handlers[id].Init(&s.verts[id])
+		// Init stepped every vertex: the barrier schedules them all.
+		s.stepList = append(s.stepList, int32(id))
 	}
-	s.mergeShards()
-	s.resetSchedule()
-	return e
-}
-
-// runPhase executes fn over the index range [0, k) of the current worklist,
-// sharded across the worker pool when one exists, with chunk boundaries
-// balanced by weight. fn(lo, hi) must only touch state owned by the vertices
-// at worklist positions lo..hi-1 (plus the disjoint outbox slots deliver
-// claims).
-func (e *Execution) runPhase(fn func(lo, hi int), k int, weight func(i int) int) {
-	if k == 0 {
-		return
-	}
-	if e.exec == nil {
-		fn(0, k)
-		return
-	}
-	e.exec.phase(fn, k, weight)
+	s.mergeStepped()
+	return &Execution{s: s}
 }
 
 // Step executes one synchronized round: delivery over the deliverList, the
 // barrier assembly of the step list (awake vertices plus message and timer
-// wakes), compute over the step list, and the barrier merge of metric
-// shards. It reports done=true (without executing anything) once every
-// vertex has halted and every queued message has been delivered — an O(1)
-// check against the running counters — ErrDeadlock when no vertex can ever
-// step again, and ErrMaxRounds when the round budget is exhausted.
+// wakes), compute over the step list in ascending ID order, and the rebuild
+// of the awake list. It reports done=true (without executing anything) once
+// every vertex has halted and every queued message has been delivered — an
+// O(1) check against the running counters — ErrDeadlock when no vertex can
+// ever step again, and ErrMaxRounds when the round budget is exhausted.
 func (e *Execution) Step() (done bool, err error) {
 	s := e.s
 	if s.haltedCount == s.g.N() && s.pendingMsgs == 0 {
-		e.done = true
 		return true, nil
 	}
 	if len(s.awake) == 0 && len(s.deliverList) == 0 && len(s.timers) == 0 {
@@ -809,10 +704,24 @@ func (e *Execution) Step() (done bool, err error) {
 	}
 	e.round = round
 	s.curRound = round
-	e.runPhase(e.deliverFn, len(s.deliverList), e.deliverWt)
+	s.deliver(round)
 	s.metrics.Rounds++
 	s.assembleStepList(round)
-	e.runPhase(e.computeFn, len(s.stepList), e.computeWt)
+	// Every queued message now sits in an inbox: this round's sends start
+	// empty lists.
+	s.deliverList = s.deliverList[:0]
+	s.pendingMsgs = 0
+	for _, id := range s.stepList {
+		v := &s.verts[id]
+		if v.halted {
+			continue
+		}
+		var recv []Incoming
+		if s.inboxRound[id] == round {
+			recv = s.inboxes[id]
+		}
+		s.handlers[id].Round(v, round, recv)
+	}
 	s.mergeStepped()
 	if s.obs != nil {
 		m := s.metrics
@@ -857,17 +766,13 @@ func (e *Execution) Finish() Result {
 	return res
 }
 
-// Close releases the execution's worker pool and re-arms the Simulator for
-// the next Start. It is idempotent and safe to defer alongside Finish.
+// Close re-arms the Simulator for the next Start. It is idempotent and safe
+// to defer alongside Finish.
 func (e *Execution) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	if e.exec != nil {
-		e.exec.close()
-		e.exec = nil
-	}
 	e.s.active = false
 }
 

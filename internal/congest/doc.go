@@ -20,19 +20,14 @@
 // and fault-injection coins are pure hashes of (seed, round, sender,
 // receiver). Because handler randomness is per-vertex and inbox order is
 // canonical, the execution order of vertices within a round cannot be
-// observed by a (well-formed) handler — which is what makes the parallel
-// executor below exact.
+// observed by a (well-formed) handler.
 //
-// Setting Config.Workers > 0 shards each round's delivery and compute phases
-// across a pool of worker goroutines. Each phase's sparse worklist is split
-// into contiguous chunks balanced by per-vertex work (queued message counts
-// for delivery, degree for compute); the boundaries are a pure function of
-// the worklist and weights, both rebuilt sequentially at round barriers, and
-// per-vertex metric shards merge at the barrier. The parallel executor is
-// bit-for-bit equivalent to the sequential path for a fixed seed. The one extra requirement it places on handlers: handlers of
-// different vertices must not share mutable state (per-vertex state, as the
-// model prescribes, is always safe; the test-only pattern of closing over a
-// shared counter is not).
+// One goroutine executes every round: delivery, then each stepped vertex's
+// Round call in ascending ID order. Send queues a message straight onto its
+// receiver's pending list and adds its costs to the run's Metrics, and Halt
+// counts toward termination at once, so the round barrier only rebuilds the
+// scheduler's worklists. Stepping in ascending ID order keeps every pending
+// list ascending by sender, which is the canonical inbox order.
 //
 // A run ends when every vertex has halted and every queued message has been
 // delivered: sends queued in a vertex's final round still cost (and are
@@ -69,11 +64,12 @@
 //
 // The steady-state round loop is allocation-free (see DESIGN.md §3.8). The
 // vertex table is stored CSR-style: one value slice of Vertex records whose
-// ports, reverse ports, outbox slots, sent and pending lists, and inbox
-// slots occupy the same contiguous range of six shared flat arrays, built
-// once per Simulator and reused across Run calls. Handlers that need per-round message buffers should use
-// Vertex.MsgBuf (or the SendWords/BroadcastWords conveniences), which
-// recycles a per-vertex double-buffered arena instead of allocating.
+// ports, reverse ports, outbox slots, pending lists, and inbox slots occupy
+// the same contiguous range of five shared flat arrays, built once per
+// Simulator and reused across Run calls. Handlers that need per-round
+// message buffers should use Vertex.MsgBuf (or the SendWords/BroadcastWords
+// conveniences), which recycles a per-vertex double-buffered arena instead
+// of allocating.
 //
 // Arena lifetime contract: a Message received in a Round call is valid only
 // until that Round call returns. Handlers that retain a message across

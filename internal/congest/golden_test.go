@@ -1,6 +1,7 @@
 package congest_test
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"expandergap/internal/apps/maxis"
@@ -41,10 +42,9 @@ func floodHandler(v *congest.Vertex) congest.Handler {
 }
 
 // TestGoldenDeterminism pins the exact outputs and metrics of two fixed-seed
-// workloads (grid flood and Luby MIS), for both the sequential and the
-// parallel executor. The values were captured from the pre-CSR simulator, so
-// this test proves the zero-allocation layout is behavior-preserving and
-// that Workers is invisible to results.
+// workloads (grid flood and Luby MIS). The values were captured from the
+// pre-CSR simulator, so this test proves the zero-allocation layout and the
+// fused round barrier are behavior-preserving.
 func TestGoldenDeterminism(t *testing.T) {
 	const (
 		goldenFloodRounds  = 31
@@ -58,98 +58,90 @@ func TestGoldenDeterminism(t *testing.T) {
 		goldenLubySize   = 92
 		goldenLubyHash   = 4508672213933379464
 	)
-	for _, workers := range []int{0, 4} {
-		g := graph.Grid(16, 16)
-		sim := congest.NewSimulator(g, congest.Config{Seed: 1, Workers: workers})
-		res, err := sim.Run(floodHandler)
-		if err != nil {
-			t.Fatalf("workers=%d flood: %v", workers, err)
-		}
-		m := res.Metrics
-		if m.Rounds != goldenFloodRounds || m.Messages != goldenFloodMsgs ||
-			m.Words != goldenFloodWords || m.MaxWordsPerMsg != 1 {
-			t.Errorf("workers=%d flood metrics = %+v, want rounds=%d msgs=%d words=%d maxw=1",
-				workers, m, goldenFloodRounds, goldenFloodMsgs, goldenFloodWords)
-		}
-		sum := 0
-		for _, o := range res.Outputs {
-			sum += o.(int)
-		}
-		if sum != goldenFloodDistSum {
-			t.Errorf("workers=%d flood distance sum = %d, want %d", workers, sum, goldenFloodDistSum)
-		}
+	g := graph.Grid(16, 16)
+	sim := congest.NewSimulator(g, congest.Config{Seed: 1})
+	res, err := sim.Run(floodHandler)
+	if err != nil {
+		t.Fatalf("flood: %v", err)
+	}
+	m := res.Metrics
+	if m.Rounds != goldenFloodRounds || m.Messages != goldenFloodMsgs ||
+		m.Words != goldenFloodWords || m.MaxWordsPerMsg != 1 {
+		t.Errorf("flood metrics = %+v, want rounds=%d msgs=%d words=%d maxw=1",
+			m, goldenFloodRounds, goldenFloodMsgs, goldenFloodWords)
+	}
+	sum := 0
+	for _, o := range res.Outputs {
+		sum += o.(int)
+	}
+	if sum != goldenFloodDistSum {
+		t.Errorf("flood distance sum = %d, want %d", sum, goldenFloodDistSum)
+	}
 
-		set, lm, err := maxis.LubyMIS(g, congest.Config{Seed: 7, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d luby: %v", workers, err)
-		}
-		if lm.Rounds != goldenLubyRounds || lm.Messages != goldenLubyMsgs ||
-			lm.Words != goldenLubyWords || lm.MaxWordsPerMsg != 3 {
-			t.Errorf("workers=%d luby metrics = %+v, want rounds=%d msgs=%d words=%d maxw=3",
-				workers, lm, goldenLubyRounds, goldenLubyMsgs, goldenLubyWords)
-		}
-		h := 0
-		for _, v := range set {
-			h = h*31 + v
-		}
-		if len(set) != goldenLubySize || h != goldenLubyHash {
-			t.Errorf("workers=%d luby |set|=%d hash=%d, want %d/%d",
-				workers, len(set), h, goldenLubySize, goldenLubyHash)
-		}
+	set, lm, err := maxis.LubyMIS(g, congest.Config{Seed: 7})
+	if err != nil {
+		t.Fatalf("luby: %v", err)
+	}
+	if lm.Rounds != goldenLubyRounds || lm.Messages != goldenLubyMsgs ||
+		lm.Words != goldenLubyWords || lm.MaxWordsPerMsg != 3 {
+		t.Errorf("luby metrics = %+v, want rounds=%d msgs=%d words=%d maxw=3",
+			lm, goldenLubyRounds, goldenLubyMsgs, goldenLubyWords)
+	}
+	h := 0
+	for _, v := range set {
+		h = h*31 + v
+	}
+	if len(set) != goldenLubySize || h != goldenLubyHash {
+		t.Errorf("luby |set|=%d hash=%d, want %d/%d", len(set), h, goldenLubySize, goldenLubyHash)
 	}
 }
 
 // TestGoldenPhaseTreeDeterminism runs the golden workloads with an Observer
 // attached and pins that (a) the metrics stay bit-identical to the
 // observer-free golden values, and (b) the entire serialized phase tree —
-// names, nesting, per-phase rounds/messages/words/bits and histograms — is
-// byte-identical across the sequential and parallel executors. Phase
-// attribution happens at the round barrier from merged shards, so nothing
-// about it may depend on worker scheduling.
+// names, nesting, per-phase rounds/messages/words/bits and histograms —
+// hashes to the value the simulator produced before Send fed the observer's
+// round histogram directly (FNV-64a of MarshalIndentJSON).
 func TestGoldenPhaseTreeDeterminism(t *testing.T) {
-	var reports [][]byte
-	for _, workers := range []int{0, 4} {
-		g := graph.Grid(16, 16)
-		obs := congest.NewObserver()
-		cfg := congest.Config{Seed: 1, Workers: workers, Obs: obs}
+	g := graph.Grid(16, 16)
+	obs := congest.NewObserver()
+	cfg := congest.Config{Seed: 1, Obs: obs}
 
-		obs.BeginPhase("flood")
-		res, err := congest.NewSimulator(g, cfg).Run(floodHandler)
-		obs.EndPhase()
-		if err != nil {
-			t.Fatalf("workers=%d flood: %v", workers, err)
-		}
-		m := res.Metrics
-		if m.Rounds != 31 || m.Messages != 960 || m.Words != 960 || m.MaxWordsPerMsg != 1 {
-			t.Errorf("workers=%d observed flood metrics %+v differ from golden", workers, m)
-		}
-
-		lubyCfg := congest.Config{Seed: 7, Workers: workers, Obs: obs}
-		set, lm, err := maxis.LubyMIS(g, lubyCfg) // self-names the "luby" phase
-		if err != nil {
-			t.Fatalf("workers=%d luby: %v", workers, err)
-		}
-		if lm.Rounds != 13 || lm.Messages != 1981 || lm.Words != 5257 || len(set) != 92 {
-			t.Errorf("workers=%d observed luby metrics %+v |set|=%d differ from golden", workers, lm, len(set))
-		}
-
-		rep := obs.Report()
-		if len(rep.Phases) != 2 || rep.Phases[0].Name != "flood" || rep.Phases[1].Name != "luby" {
-			t.Fatalf("workers=%d phase tree children = %+v, want [flood luby]", workers, rep.Phases)
-		}
-		if rep.Phases[0].Rounds != 31 || rep.Phases[1].Rounds != 13 {
-			t.Errorf("workers=%d phase rounds = %d/%d, want 31/13",
-				workers, rep.Phases[0].Rounds, rep.Phases[1].Rounds)
-		}
-		data, err := rep.MarshalIndentJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports = append(reports, data)
+	obs.BeginPhase("flood")
+	res, err := congest.NewSimulator(g, cfg).Run(floodHandler)
+	obs.EndPhase()
+	if err != nil {
+		t.Fatalf("flood: %v", err)
 	}
-	if string(reports[0]) != string(reports[1]) {
-		t.Errorf("phase tree differs between Workers=0 and Workers=4:\n--- seq ---\n%s\n--- par ---\n%s",
-			reports[0], reports[1])
+	m := res.Metrics
+	if m.Rounds != 31 || m.Messages != 960 || m.Words != 960 || m.MaxWordsPerMsg != 1 {
+		t.Errorf("observed flood metrics %+v differ from golden", m)
+	}
+
+	lubyCfg := congest.Config{Seed: 7, Obs: obs}
+	set, lm, err := maxis.LubyMIS(g, lubyCfg) // self-names the "luby" phase
+	if err != nil {
+		t.Fatalf("luby: %v", err)
+	}
+	if lm.Rounds != 13 || lm.Messages != 1981 || lm.Words != 5257 || len(set) != 92 {
+		t.Errorf("observed luby metrics %+v |set|=%d differ from golden", lm, len(set))
+	}
+
+	rep := obs.Report()
+	if len(rep.Phases) != 2 || rep.Phases[0].Name != "flood" || rep.Phases[1].Name != "luby" {
+		t.Fatalf("phase tree children = %+v, want [flood luby]", rep.Phases)
+	}
+	if rep.Phases[0].Rounds != 31 || rep.Phases[1].Rounds != 13 {
+		t.Errorf("phase rounds = %d/%d, want 31/13", rep.Phases[0].Rounds, rep.Phases[1].Rounds)
+	}
+	data, err := rep.MarshalIndentJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	if got := h.Sum64(); got != 0x62cae8c5b4fe51ad {
+		t.Errorf("phase tree hash %#x, want 0x62cae8c5b4fe51ad:\n%s", got, data)
 	}
 }
 

@@ -11,32 +11,27 @@ import "slices"
 //                  sleeping), ascending by ID.
 //   - deliverList: vertices with at least one message queued to them by the
 //                  previous compute phase (pre-fault-filter), deduped, in the
-//                  order the senders' sent lists name them.
+//                  order Send first queued to them.
 //   - wakeList:    sleeping vertices woken this round by a delivered message
 //                  or an expired SleepUntil timer, ascending once sorted.
 //   - stepList:    vertices actually stepped this round — awake merged with
 //                  wakeList, ascending by ID.
 //
-// All four are rebuilt at round barriers from per-vertex state, never
-// concurrently with handlers, and all live in buffers preallocated to
-// capacity n by buildLayout, so the steady-state round loop remains
-// allocation-free. stepList order fixes the parallel executor's compute
-// chunk boundaries — and therefore panic attribution — so it matches the
-// sequential path bit for bit. deliverList needs no order: delivery is
+// Send appends to deliverList as it queues; the other three are rebuilt at
+// the round barrier from per-vertex state. All four live in buffers
+// preallocated to capacity n by buildLayout, so the steady-state round loop
+// remains allocation-free. deliverList needs no order: delivery is
 // receiver-local and each inbox is filled from the receiver's own pending
-// list, so no output depends on which worker delivers which receiver. Only
-// the wake list, usually a small fraction of the step list, is sorted each
-// round.
+// list. Only the wake list, usually a small fraction of the step list, is
+// sorted each round.
 //
-// Messages move between the phases through two more per-vertex lists, laid
-// out in flat arrays like the ports: a sender's sent list (the ports Send
-// queued on since the last barrier) and a receiver's pending list (the flat
-// outbox indices off[sender]+port of its queued messages, pendingCount
-// long). The barrier moves every sent entry onto its receiver's pending
-// list, and delivery walks the pending lists, so both cost O(messages)
-// rather than O(degree) per vertex. Senders are visited in ascending ID
-// order (the step list and the Init walk both ascend), so every pending
-// list — and with it every inbox — is ascending by sender ID.
+// Messages move from sender to receiver through one more per-vertex list,
+// laid out in flat arrays like the ports: a receiver's pending list (the
+// flat outbox indices off[sender]+port of its queued messages, pendingCount
+// long). Send appends to it and delivery walks it, so both cost O(messages)
+// rather than O(degree) per vertex. Vertices run in ascending ID order (the
+// step list and the Init walk both ascend), so every pending list — and
+// with it every inbox — is ascending by sender ID.
 
 // timerHeap is a binary min-heap of packed (wakeRound<<32 | vertexID)
 // entries. Packing into one int64 makes the heap comparison order by round
@@ -93,8 +88,8 @@ func (h *timerHeap) pop() int64 {
 // every awake vertex, plus sleeping vertices woken by a message that survived
 // the fault filter (the wake decision is made after delivery precisely so a
 // dropped message cannot wake anyone), plus sleeping vertices whose
-// SleepUntil timer expires this round. Runs sequentially at the barrier
-// between the delivery and compute phases.
+// SleepUntil timer expires this round. Runs at the barrier between the
+// delivery and compute phases.
 //
 // The three sources are disjoint — awake vertices are not asleep, and a
 // message wake clears asleep before the timer drain runs — so no dedup pass
@@ -135,39 +130,15 @@ func (s *Simulator) assembleStepList(round int) {
 	s.stepList = append(step, wakes...)
 }
 
-// mergeStepped is the sparse counterpart of mergeShards: it drains the
-// metrics shards of the vertices that stepped this round (only they can have
-// accumulated anything), queues their sends for the next round's delivery,
-// rebuilds the awake list, and arms SleepUntil timers. Every stepped vertex
-// entered its Round call with asleep=false and wakeAt=0, so a vertex
-// sleeping with a timer is pushed onto the heap exactly once per sleep.
+// mergeStepped rebuilds the awake list from the vertices that stepped this
+// round (only they can have changed state) and arms their SleepUntil
+// timers. Every stepped vertex entered its Round call with asleep=false and
+// wakeAt=0, so a vertex sleeping with a timer is pushed onto the heap
+// exactly once per sleep.
 func (s *Simulator) mergeStepped() {
-	var phaseSends int64
-	s.deliverList = s.deliverList[:0]
 	awake := s.awake[:0]
 	for _, id := range s.stepList {
 		v := &s.verts[id]
-		s.metrics.Messages += v.local.messages
-		s.metrics.Words += v.local.words
-		phaseSends += v.local.messages
-		s.haltedCount += v.local.halts
-		if v.local.maxWords > s.metrics.MaxWordsPerMsg {
-			s.metrics.MaxWordsPerMsg = v.local.maxWords
-		}
-		if s.obs != nil && v.local.messages != 0 {
-			if v.local.maxWords > s.roundMax {
-				s.roundMax = v.local.maxWords
-			}
-			for b, c := range v.local.hist {
-				if c != 0 {
-					s.roundHist[b] += c
-				}
-			}
-		}
-		if len(v.sent) != 0 {
-			s.queueSends(v)
-		}
-		v.local = vertexMetrics{}
 		switch {
 		case v.halted:
 			// Dropped from all lists; queued sends still deliver next round.
@@ -178,30 +149,6 @@ func (s *Simulator) mergeStepped() {
 		}
 	}
 	s.awake = awake
-	s.pendingMsgs = phaseSends
-}
-
-// queueSends moves v's sent list onto its receivers' pending lists, as flat
-// outbox indices off[v]+port, and empties it. pendingCount is the length of
-// each pending list — also the delivery-phase balance weight (parallel.go)
-// — and doubles as the deliverList dedup: a receiver is listed when its
-// first message arrives, and deliver zeroes the count again (Start zeroes
-// every count, in case a failed run left some). Callers visit senders in
-// ascending ID order, which keeps every pending list ascending by sender.
-func (s *Simulator) queueSends(v *Vertex) {
-	count, pending, off, list := s.pendingCount, s.pendingFlat, s.off, s.deliverList
-	ports, base := v.ports, off[v.id]
-	for _, p := range v.sent {
-		rcv := ports[p]
-		c := count[rcv]
-		if c == 0 {
-			list = append(list, rcv)
-		}
-		pending[off[rcv]+c] = base + p
-		count[rcv] = c + 1
-	}
-	s.deliverList = list
-	v.sent = v.sent[:0]
 }
 
 // armTimer pushes a sleeping vertex's SleepUntil wake onto the heap, unless
@@ -219,34 +166,20 @@ func (s *Simulator) armTimer(v *Vertex, id int) {
 	}
 }
 
-// resetSchedule re-arms the scheduler for a fresh execution: clears all
-// worklists, pending counts (a failed run may leave some) and stamps (round
-// numbers restart at 1 each run, so stale stamps from a previous execution
-// must not alias) and rebuilds the initial awake set, delivery list, and
-// timer heap from the post-Init vertex state.
+// resetSchedule clears the scheduler for a fresh execution, before Init
+// queues anything: all worklists, pending counts (a failed run may leave
+// some, and Send lists a receiver only when its count is zero) and stamps
+// (round numbers restart at 1 each run, so stale stamps from a previous
+// execution must not alias).
 func (s *Simulator) resetSchedule() {
 	s.stepList = s.stepList[:0]
 	s.wakeList = s.wakeList[:0]
 	s.deliverList = s.deliverList[:0]
+	s.awake = s.awake[:0]
 	s.timers = s.timers[:0]
-	awake := s.awake[:0]
 	for id := range s.verts {
 		s.pendingCount[id] = 0
 		s.inboxRound[id] = 0
 		s.timerStamp[id] = 0
 	}
-	for id := range s.verts {
-		v := &s.verts[id]
-		if len(v.sent) != 0 {
-			s.queueSends(v)
-		}
-		switch {
-		case v.halted:
-		case v.asleep:
-			s.armTimer(v, id)
-		default:
-			awake = append(awake, int32(id))
-		}
-	}
-	s.awake = awake
 }

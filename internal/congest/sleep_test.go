@@ -237,7 +237,7 @@ func TestStaleInboxNotReobserved(t *testing.T) {
 // sleepyFlood is a randomized workload that exercises every wake path at
 // once: vertices flood a token, each absorbing vertex draws a PRNG-dependent
 // nap length before echoing, idle vertices use message-wake sleep, and the
-// origin uses timers. Used to check worker-count invariance with sleeping.
+// origin uses timers. TestPinnedWorkloads pins its outputs and Metrics.
 func sleepyFlood(v *congest.Vertex) congest.Handler {
 	seen := v.ID() == 0
 	dist := 0
@@ -268,9 +268,9 @@ func sleepyFlood(v *congest.Vertex) congest.Handler {
 				dist = int(best) + 1
 				// PRNG-dependent nap: the echo round depends on the vertex's
 				// private stream, so any scheduling dependence in the PRNG
-				// would break the cross-worker comparison below. A nap of one
-				// round makes SleepUntil a no-op; the vertex simply steps
-				// again and echoes when the wake round arrives.
+				// would move the pinned outputs. A nap of one round makes
+				// SleepUntil a no-op; the vertex simply steps again and
+				// echoes when the wake round arrives.
 				wake = round + v.Rand().Intn(3)
 				if wake > round {
 					v.SleepUntil(wake)
@@ -287,37 +287,6 @@ func sleepyFlood(v *congest.Vertex) congest.Handler {
 			v.SetOutput(dist*1000 + wake)
 			v.Halt()
 		},
-	}
-}
-
-// TestSleepEquivalenceAcrossWorkers checks that sleeping is invisible to the
-// execution semantics regardless of worker count: metrics, outputs, and PRNG
-// draws are bit-identical across Workers ∈ {0, 1, 4, 8}.
-func TestSleepEquivalenceAcrossWorkers(t *testing.T) {
-	g := graph.Grid(12, 12)
-	type snapshot struct {
-		metrics congest.Metrics
-		hash    int64
-	}
-	var base *snapshot
-	for _, workers := range []int{0, 1, 4, 8} {
-		sim := congest.NewSimulator(g, congest.Config{Seed: 17, Workers: workers})
-		res, err := sim.Run(sleepyFlood)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		h := int64(0)
-		for id := 0; id < g.N(); id++ {
-			h = h*1000003 + int64(res.Outputs[id].(int))
-		}
-		snap := &snapshot{metrics: res.Metrics, hash: h}
-		if base == nil {
-			base = snap
-			continue
-		}
-		if *snap != *base {
-			t.Errorf("workers=%d diverged: %+v, want %+v", workers, *snap, *base)
-		}
 	}
 }
 

@@ -441,7 +441,7 @@ type prefixPhase struct {
 // Prepare simulates the snapshot-invariant phases of a framework run on g
 // with the clustering dec, for reuse via Options.Prefix by any number of
 // later runs on the same inputs. opts supplies Density, SkipDiameterCheck
-// and Cfg (Model, MaxWords, MaxRounds, Workers); Cfg.Obs is ignored — the
+// and Cfg (Model, MaxWords, MaxRounds); Cfg.Obs is ignored — the
 // phases report into a private observer whose report the runs replay.
 // Preparing with Cfg.FaultRate > 0 is an error: the drop coins depend on
 // the seed, so faulty phases are not snapshot-invariant.

@@ -92,8 +92,8 @@ func solutionOf(res any) *core.Solution {
 // TestPrefixEquivalence runs every family with and without a prepared
 // prefix: results, Solutions (Metrics, Phases, Leader, DiameterMarked,
 // Clusters, TopologyLoss and the rest) and observer reports must be equal.
-// The prefix is prepared under another seed and worker count than the runs
-// use, which must not matter.
+// The prefix is prepared under another seed than the runs use, which must
+// not matter.
 func TestPrefixEquivalence(t *testing.T) {
 	weights := func(n int) []int64 {
 		rng := rand.New(rand.NewSource(9))
@@ -105,7 +105,7 @@ func TestPrefixEquivalence(t *testing.T) {
 	}
 	marked := false
 	for _, pc := range prefixCases(t) {
-		pre, err := core.Prepare(pc.g, pc.dec, core.Options{Cfg: congest.Config{Seed: 99, Workers: 2}})
+		pre, err := core.Prepare(pc.g, pc.dec, core.Options{Cfg: congest.Config{Seed: 99}})
 		if err != nil {
 			t.Fatalf("%s: Prepare: %v", pc.name, err)
 		}

@@ -17,7 +17,7 @@ import (
 // the growth exponent of total rounds and requires it to stay below 2.2 —
 // well under a quadratic-blowup regression — and requires message sizes to
 // stay constant (the CONGEST invariant).
-func E15RoundScaling(sizes []int, eps float64, seed int64, workers int, obs *congest.Observer) Outcome {
+func E15RoundScaling(sizes []int, eps float64, seed int64, obs *congest.Observer) Outcome {
 	t := &Table{
 		ID:      "E15",
 		Title:   "framework round scaling on grids (Thm 2.6 time bounds, measured)",
@@ -34,7 +34,7 @@ func E15RoundScaling(sizes []int, eps float64, seed int64, workers int, obs *con
 		g := graph.Grid(side, side)
 		sol, err := core.Run(g, core.Options{
 			Eps: eps,
-			Cfg: congest.Config{Seed: seed, Workers: workers, Obs: obs},
+			Cfg: congest.Config{Seed: seed, Obs: obs},
 		}, func(cluster *graph.Graph, toOld []int) map[int]int64 {
 			out := make(map[int]int64)
 			for _, v := range toOld {

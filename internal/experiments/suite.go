@@ -22,13 +22,9 @@ type Params struct {
 	Eps         float64
 	Weights     []int64
 	Seed        int64
-	// Workers is passed to congest.Config for the simulator-heavy
-	// experiments (E4 walk routing, E15 round scaling). 0 = sequential.
-	// Results are identical for any value; only wall-clock changes.
-	Workers int
 	// Obs, when non-nil, receives the phase-attributed accounting of the
 	// experiments that route it into their congest.Config (E2b, E4, E10,
-	// E15). Like Workers, it never changes results.
+	// E15). It never changes results.
 	Obs *congest.Observer
 }
 
@@ -71,7 +67,7 @@ func Named(id string, p Params) Outcome {
 	case "E3":
 		return E3HighDegree(p.DecompSizes, p.Eps, p.Seed)
 	case "E4":
-		return E4WalkRouting(p.DecompSizes, p.Eps, p.Seed, p.Workers, p.Obs)
+		return E4WalkRouting(p.DecompSizes, p.Eps, p.Seed, p.Obs)
 	case "E5":
 		return E5MaxIS(p.AppSizes, p.EpsList, p.Seed)
 	case "E6":
@@ -93,7 +89,7 @@ func Named(id string, p Params) Outcome {
 	case "E14":
 		return E14HypercubeTightness(p.Seed)
 	case "E15":
-		return E15RoundScaling(p.GapSizes, 0.3, p.Seed, p.Workers, p.Obs)
+		return E15RoundScaling(p.GapSizes, 0.3, p.Seed, p.Obs)
 	case "E16":
 		return E16DecomposerComparison(p.AppSizes, 0.4, p.Seed)
 	default:

@@ -113,10 +113,8 @@ func exchangeHash(res *ExchangeResult, m congest.Metrics) uint64 {
 // TestExchangeGolden pins Exchange and ExchangeBatch byte for byte: the
 // responses, delivery counts, leader loads and metrics of fixed-seed runs on
 // a grid and a G(n,p) graph, both strategies, with and without message loss.
-// Every case must hash the same under the sequential and the 4-worker
-// executor. The constants were captured from the visit-log router that
-// predates the departure stacks, so they prove the reverse path retraces the
-// same walks.
+// The constants were captured from the visit-log router that predates the
+// departure stacks, so they prove the reverse path retraces the same walks.
 func TestExchangeGolden(t *testing.T) {
 	grid := graph.Grid(8, 8)
 	gnp := graph.ErdosRenyiStream(120, 5.0/120, 21, 0)
@@ -141,26 +139,24 @@ func TestExchangeGolden(t *testing.T) {
 		{"gnp/tree/faults", gnp, componentPlan(gnp, gnpPart, 60, TreeParent), true, 0.2, 6, 6713916630655434297},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{0, 4} {
-			cfg := congest.Config{Seed: tc.seed, FaultRate: tc.fault, Workers: workers}
-			tokens := tokensPer(tc.g.N(), 3)
-			var (
-				res *ExchangeResult
-				m   congest.Metrics
-				err error
-			)
-			if tc.batch {
-				res, m, err = ExchangeBatch(tc.g, cfg, tc.plan, tokens, respondIndexed)
-			} else {
-				res, m, err = Exchange(tc.g, cfg, tc.plan, tokens, respondMix)
-			}
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
-			}
-			if got := exchangeHash(res, m); got != tc.want {
-				t.Errorf("%s workers=%d: hash %d, want %d (delivered %d, undelivered %d, %+v)",
-					tc.name, workers, got, tc.want, res.Delivered, res.Undelivered, m)
-			}
+		cfg := congest.Config{Seed: tc.seed, FaultRate: tc.fault}
+		tokens := tokensPer(tc.g.N(), 3)
+		var (
+			res *ExchangeResult
+			m   congest.Metrics
+			err error
+		)
+		if tc.batch {
+			res, m, err = ExchangeBatch(tc.g, cfg, tc.plan, tokens, respondIndexed)
+		} else {
+			res, m, err = Exchange(tc.g, cfg, tc.plan, tokens, respondMix)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := exchangeHash(res, m); got != tc.want {
+			t.Errorf("%s: hash %d, want %d (delivered %d, undelivered %d, %+v)",
+				tc.name, got, tc.want, res.Delivered, res.Undelivered, m)
 		}
 	}
 }
@@ -182,45 +178,43 @@ func TestExchangeRevisitsRetrace(t *testing.T) {
 	for _, tc := range cases {
 		n := tc.g.N()
 		plan := wholeGraphPlan(tc.g, 0, 3000, RandomWalk)
-		for _, workers := range []int{0, 4} {
-			tokens := tokensPer(n, k)
-			res, m, err := Exchange(tc.g, congest.Config{Seed: 13, Workers: workers}, plan, tokens, respondMix)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+		tokens := tokensPer(n, k)
+		res, m, err := Exchange(tc.g, congest.Config{Seed: 13}, plan, tokens, respondMix)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Undelivered != 0 {
+			t.Fatalf("%s: %d tokens undelivered", tc.name, res.Undelivered)
+		}
+		for v := 0; v < n; v++ {
+			if len(res.Responses[v]) != k {
+				t.Fatalf("%s: vertex %d got %d responses, want %d",
+					tc.name, v, len(res.Responses[v]), k)
 			}
-			if res.Undelivered != 0 {
-				t.Fatalf("%s workers=%d: %d tokens undelivered", tc.name, workers, res.Undelivered)
-			}
-			for v := 0; v < n; v++ {
-				if len(res.Responses[v]) != k {
-					t.Fatalf("%s workers=%d: vertex %d got %d responses, want %d",
-						tc.name, workers, v, len(res.Responses[v]), k)
-				}
-				for j, r := range res.Responses[v] {
-					wantA, wantB := respondMix(0, tokens[v][j])
-					if r.Origin != v || r.Seq != j || r.A != wantA || r.B != wantB {
-						t.Errorf("%s workers=%d: vertex %d token %d came back as %+v, want A=%d B=%d",
-							tc.name, workers, v, j, r, wantA, wantB)
-					}
+			for j, r := range res.Responses[v] {
+				wantA, wantB := respondMix(0, tokens[v][j])
+				if r.Origin != v || r.Seq != j || r.A != wantA || r.B != wantB {
+					t.Errorf("%s: vertex %d token %d came back as %+v, want A=%d B=%d",
+						tc.name, v, j, r, wantA, wantB)
 				}
 			}
-			// Every hop is one forward and one reverse message; the setup
-			// broadcast sends one per edge direction. Over twice as many hops
-			// as the tokens' summed distances to the leader means the walks
-			// revisited vertices, which is the case this test is for.
-			hops := (m.Messages - int64(2*tc.g.M())) / 2
-			dists, _ := tc.g.BFS(0)
-			dist := int64(0)
-			for _, d := range dists {
-				dist += int64(k * d)
-			}
-			if hops <= 2*dist {
-				t.Errorf("%s workers=%d: %d hops for summed distance %d; walks too direct to exercise revisits",
-					tc.name, workers, hops, dist)
-			}
-			if got := exchangeHash(res, m); got != tc.want {
-				t.Errorf("%s workers=%d: hash %d, want %d", tc.name, workers, got, tc.want)
-			}
+		}
+		// Every hop is one forward and one reverse message; the setup
+		// broadcast sends one per edge direction. Over twice as many hops
+		// as the tokens' summed distances to the leader means the walks
+		// revisited vertices, which is the case this test is for.
+		hops := (m.Messages - int64(2*tc.g.M())) / 2
+		dists, _ := tc.g.BFS(0)
+		dist := int64(0)
+		for _, d := range dists {
+			dist += int64(k * d)
+		}
+		if hops <= 2*dist {
+			t.Errorf("%s: %d hops for summed distance %d; walks too direct to exercise revisits",
+				tc.name, hops, dist)
+		}
+		if got := exchangeHash(res, m); got != tc.want {
+			t.Errorf("%s: hash %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"expandergap/internal/congest"
 	"expandergap/internal/graph"
@@ -354,30 +353,6 @@ func exchange(g *graph.Graph, cfg congest.Config, plan Plan, tokens [][]Token, r
 	}
 	if plan.Strategy == 0 {
 		plan.Strategy = RandomWalk
-	}
-	// Under the parallel executor leaders answer from worker goroutines;
-	// serialize the caller's responder so it may keep shared state (core's
-	// solve context, GatherOnly's inbox map) without its own locking.
-	// Responder results depend only on the (leader, token) arguments and
-	// per-leader data, so serialization order cannot affect outputs.
-	if cfg.Workers > 0 {
-		var mu sync.Mutex
-		if respond != nil {
-			inner := respond
-			respond = func(leader int, t Token) (int64, int64) {
-				mu.Lock()
-				defer mu.Unlock()
-				return inner(leader, t)
-			}
-		}
-		if respondBatch != nil {
-			inner := respondBatch
-			respondBatch = func(leader int, inbox []Token) [][2]int64 {
-				mu.Lock()
-				defer mu.Unlock()
-				return inner(leader, inbox)
-			}
-		}
 	}
 	const maxSeq = 900 // keeps the seq word well inside the CONGEST cap
 	totalTokens := 0

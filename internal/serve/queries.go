@@ -188,9 +188,9 @@ func (r *Result) project(vertices []int) []VertexAnswer {
 // decomposition is injected so no query ever re-decomposes, and the
 // framework families reuse the snapshot's cached prefix so no query after
 // the first re-simulates the snapshot-invariant phases.
-func runQuery(snap *Snapshot, family string, p Params, simWorkers int) (*Result, error) {
+func runQuery(snap *Snapshot, family string, p Params) (*Result, error) {
 	obs := congest.NewObserver()
-	cfg := congest.Config{Seed: p.Seed, Obs: obs, Workers: simWorkers}
+	cfg := congest.Config{Seed: p.Seed, Obs: obs}
 	coreOpts := core.Options{Decomposition: snap.Dec, Deterministic: p.Deterministic}
 	if family == "matching" || family == "mis" || family == "clustering" {
 		pre, err := snap.frameworkPrefix(cfg)

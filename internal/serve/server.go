@@ -19,9 +19,6 @@ import (
 type Config struct {
 	// Spec builds the initial snapshot.
 	Spec Spec
-	// SimWorkers is the congest executor worker count for query runs
-	// (0 = sequential; results are bit-identical for any value).
-	SimWorkers int
 	// BatchWindow is how long a flight leader waits for followers before
 	// running (0 = run immediately; coalescing then only catches requests
 	// arriving during the run itself).
@@ -417,7 +414,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 					<-s.cfg.blockRuns
 				}
 				var r *Result
-				r, rerr = runQuery(snap, family, p, s.cfg.SimWorkers)
+				r, rerr = runQuery(snap, family, p)
 				if rerr != nil {
 					return
 				}
