@@ -1,6 +1,5 @@
 // Package conductance implements the spectral toolkit of Section 2 of the
-// paper: cut conductance and sparsity, exact graph conductance for small
-// graphs, Cheeger-style spectral bounds via power iteration on the lazy
+// paper: cut conductance, exact graph conductance for small graphs, Cheeger-style spectral bounds via power iteration on the lazy
 // random walk, sweep cuts, exact lazy-walk distribution evolution, and
 // mixing-time estimation.
 //
@@ -53,26 +52,6 @@ func CutConductance(g graph.G, s map[int]bool) float64 {
 		return math.Inf(1)
 	}
 	return float64(cut) / float64(minVol)
-}
-
-// CutSparsity returns Ψ(S) = |∂(S)| / min(|S|, |V\S|), the vertex-count
-// analogue of conductance used by the deterministic routing reduction
-// (Lemma 2.5).
-func CutSparsity(g graph.G, s map[int]bool) float64 {
-	inCount := 0
-	for v := 0; v < g.N(); v++ {
-		if s[v] {
-			inCount++
-		}
-	}
-	if inCount == 0 || inCount == g.N() {
-		return 0
-	}
-	minSide := inCount
-	if rest := g.N() - inCount; rest < minSide {
-		minSide = rest
-	}
-	return float64(CutSize(g, s)) / float64(minSide)
 }
 
 // MaxExactN is the largest graph size for which ExactCut and

@@ -26,17 +26,6 @@ func TestCutConductanceKnown(t *testing.T) {
 	}
 }
 
-func TestCutSparsity(t *testing.T) {
-	g := graph.Path(4)
-	s := map[int]bool{0: true, 1: true}
-	if got := CutSparsity(g, s); got != 0.5 {
-		t.Errorf("path middle cut sparsity = %v, want 0.5", got)
-	}
-	if got := CutSparsity(g, map[int]bool{}); got != 0 {
-		t.Errorf("empty cut sparsity = %v, want 0", got)
-	}
-}
-
 func TestExactConductanceKnown(t *testing.T) {
 	cases := []struct {
 		name string

@@ -1,6 +1,7 @@
 package conductance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,73 @@ import (
 
 	"expandergap/internal/graph"
 )
+
+// Sparsity, Ψ(S) = |∂(S)| / min(|S|, |V\S|), is the vertex-count analogue
+// of conductance that Lemma 2.5's preprocessing moves through. No algorithm
+// or experiment needs it, so it lives here: brute-force Ψ(G) is the
+// reference that checks ExactConductance through the sandwich
+// Φ ≤ Ψ ≤ Δ·Φ.
+
+// cutSparsity returns Ψ(S), or 0 for a trivial cut.
+func cutSparsity(g graph.G, s map[int]bool) float64 {
+	inCount := 0
+	for v := 0; v < g.N(); v++ {
+		if s[v] {
+			inCount++
+		}
+	}
+	if inCount == 0 || inCount == g.N() {
+		return 0
+	}
+	return float64(CutSize(g, s)) / float64(min(inCount, g.N()-inCount))
+}
+
+// exactSparsity returns Ψ(G), the minimum of cutSparsity over the non-trivial
+// cuts that keep vertex n-1 outside S. Disconnected graphs have sparsity 0;
+// it panics for n > MaxExactN.
+func exactSparsity(g *graph.Graph) float64 {
+	n := g.N()
+	if n > MaxExactN {
+		panic(fmt.Sprintf("conductance: exactSparsity limited to n <= %d, got %d", MaxExactN, n))
+	}
+	if n <= 1 {
+		return 0
+	}
+	best := math.Inf(1)
+	for mask := 1; mask < 1<<(n-1); mask++ {
+		s := make(map[int]bool)
+		for v := 0; v < n-1; v++ {
+			if mask&(1<<v) != 0 {
+				s[v] = true
+			}
+		}
+		best = min(best, cutSparsity(g, s))
+	}
+	return best
+}
+
+// sparsityConductanceRelation returns the two ratios Ψ/Φ (must be ≥ 1) and
+// Ψ/(Δ·Φ) (must be ≤ 1) of a connected graph, or 0, 0 when Φ = 0.
+func sparsityConductanceRelation(g *graph.Graph) (lower, upper float64) {
+	phi := ExactConductance(g)
+	psi := exactSparsity(g)
+	if phi == 0 {
+		return 0, 0
+	}
+	d := float64(g.MaxDegree())
+	return psi / phi, psi / (d * phi)
+}
+
+func TestCutSparsity(t *testing.T) {
+	g := graph.Path(4)
+	s := map[int]bool{0: true, 1: true}
+	if got := cutSparsity(g, s); got != 0.5 {
+		t.Errorf("path middle cut sparsity = %v, want 0.5", got)
+	}
+	if got := cutSparsity(g, map[int]bool{}); got != 0 {
+		t.Errorf("empty cut sparsity = %v, want 0", got)
+	}
+}
 
 func TestExactSparsityKnown(t *testing.T) {
 	cases := []struct {
@@ -23,7 +91,7 @@ func TestExactSparsityKnown(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := ExactSparsity(tc.g); math.Abs(got-tc.want) > 1e-12 {
+			if got := exactSparsity(tc.g); math.Abs(got-tc.want) > 1e-12 {
 				t.Errorf("Ψ = %v, want %v", got, tc.want)
 			}
 		})
@@ -36,7 +104,7 @@ func TestExactSparsityPanics(t *testing.T) {
 			t.Error("expected panic above MaxExactN")
 		}
 	}()
-	ExactSparsity(graph.Path(MaxExactN + 1))
+	exactSparsity(graph.Path(MaxExactN + 1))
 }
 
 // Property: Φ ≤ Ψ ≤ Δ·Φ on connected graphs ([20, Lemma C.2] direction used
@@ -49,7 +117,7 @@ func TestQuickSparsityConductanceSandwich(t *testing.T) {
 		if !g.Connected() || g.M() == 0 {
 			return true
 		}
-		lower, upper := SparsityConductanceRelation(g)
+		lower, upper := sparsityConductanceRelation(g)
 		return lower >= 1-1e-9 && upper <= 1+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -58,7 +126,7 @@ func TestQuickSparsityConductanceSandwich(t *testing.T) {
 }
 
 func TestSparsityRelationDegenerate(t *testing.T) {
-	lower, upper := SparsityConductanceRelation(graph.Disjoint(graph.Path(2), graph.Path(2)))
+	lower, upper := sparsityConductanceRelation(graph.Disjoint(graph.Path(2), graph.Path(2)))
 	if lower != 0 || upper != 0 {
 		t.Error("disconnected relation should be zero")
 	}
