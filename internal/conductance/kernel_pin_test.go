@@ -176,7 +176,9 @@ type hiddenCSR struct{ graph.G }
 // degrees, isolated vertices (the degree-0 self-loop branch and the 1e-12
 // weight), an edgeless graph (SpectralGap's zero-norm deflation guard),
 // graphs of 1–3 vertices (the early returns, which draw nothing), a view
-// whose filter dropped edges, and a G without a CSR.
+// whose filter dropped edges, a G without a CSR, and the two planar classes
+// the decomposer is timed on: the rebuild fixture's generator at 2000
+// vertices and the φ-stress maximal planar graph.
 func kernelPinGraphs() []struct {
 	name string
 	g    graph.G
@@ -198,6 +200,8 @@ func kernelPinGraphs() []struct {
 		{"complete16", graph.Complete(16)},
 		{"er800", graph.ErdosRenyiStream(800, 6.0/800, 11, 0)},
 		{"er300-isolated", graph.ErdosRenyiStream(300, 1.5/300, 5, 0)},
+		{"planar2000", graph.RandomPlanarStream(2000, 0.6, rand.New(rand.NewSource(3)), 0)},
+		{"maxplanar300", graph.RandomMaximalPlanar(300, rand.New(rand.NewSource(7)))},
 		{"edgeless20", graph.NewBuilder(20).Graph()},
 		{"filtered-view", base.InduceFiltered(verts, drop)},
 		{"no-csr-grid6x6", hiddenCSR{graph.Grid(6, 6)}},
