@@ -100,10 +100,58 @@ type departure struct {
 	from        arrival
 }
 
+// pendingSend is a reverse send queued at a vertex, due at a phase round.
 type pendingSend struct {
 	round int
 	port  int
 	tok   Token
+}
+
+// reverseHeap is a binary min-heap of a vertex's pending reverse sends on
+// their due round, so flushReverse pops only what is due and maybeSleep
+// reads the next due round off the head. Sends due in the same round leave in
+// heap order, not queue order. They answer forward arrivals of one round,
+// which came in on distinct ports, so they go to distinct neighbours and
+// their order changes no inbox, Metrics value or PRNG draw.
+type reverseHeap []pendingSend
+
+func (h *reverseHeap) push(ps pendingSend) {
+	*h = append(*h, ps)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if s[parent].round <= s[i].round {
+			break
+		}
+		s[parent], s[i] = s[i], s[parent]
+		i = parent
+	}
+}
+
+func (h *reverseHeap) pop() pendingSend {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	*h = s[:last]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= last {
+			break
+		}
+		small := l
+		if r := l + 1; r < last && s[r].round < s[l].round {
+			small = r
+		}
+		if s[i].round <= s[small].round {
+			break
+		}
+		s[i], s[small] = s[small], s[i]
+		i = small
+	}
+	return top
 }
 
 type routeHandler struct {
@@ -115,7 +163,7 @@ type routeHandler struct {
 	departures   []departure // forward sends, ascending by round
 	absorbed     []Token     // leader only
 	arrivals     []arrival   // leader only, parallel to absorbed
-	reverse      []pendingSend
+	reverse      reverseHeap
 	responses    []Token
 	respond      func(leader int, t Token) (int64, int64)
 	respondBatch func(leader int, inbox []Token) [][2]int64
@@ -194,10 +242,8 @@ func (h *routeHandler) maybeSleep(v *congest.Vertex, pr, T int) {
 	if h.isLeader && pr < T+1 {
 		next = T + 1 // the respond round
 	}
-	for _, ps := range h.reverse {
-		if ps.round > pr && ps.round < next {
-			next = ps.round
-		}
+	if len(h.reverse) > 0 && h.reverse[0].round < next {
+		next = h.reverse[0].round
 	}
 	v.SleepUntil(next + 1)
 }
@@ -274,7 +320,7 @@ func (h *routeHandler) sendBack(tok Token, from arrival) {
 		h.responses = append(h.responses, tok)
 		return
 	}
-	h.reverse = append(h.reverse, pendingSend{round: h.total - int(from.round), port: int(from.port), tok: tok})
+	h.reverse.push(pendingSend{round: h.total - int(from.round), port: int(from.port), tok: tok})
 }
 
 // handleReverseArrival pops the departure a reverse token arriving on port at
@@ -304,19 +350,14 @@ func (h *routeHandler) handleReverseArrival(tok Token, port, pr int) {
 	h.sendBack(tok, from)
 }
 
+// flushReverse emits the reverse sends due at phase round pr. Every send is
+// queued for a later round than the one that queues it, and the vertex is
+// awake at each due round (maybeSleep), so the head is never overdue.
 func (h *routeHandler) flushReverse(v *congest.Vertex, pr int) {
-	if len(h.reverse) == 0 {
-		return
+	for len(h.reverse) > 0 && h.reverse[0].round <= pr {
+		ps := h.reverse.pop()
+		v.SendWords(ps.port, kindReverse, int64(ps.tok.Origin), int64(ps.tok.Seq), ps.tok.A, ps.tok.B)
 	}
-	keep := h.reverse[:0]
-	for _, ps := range h.reverse {
-		if ps.round == pr {
-			v.SendWords(ps.port, kindReverse, int64(ps.tok.Origin), int64(ps.tok.Seq), ps.tok.A, ps.tok.B)
-		} else {
-			keep = append(keep, ps)
-		}
-	}
-	h.reverse = keep
 }
 
 // Exchange routes each origin's tokens to its cluster leader and, if respond
