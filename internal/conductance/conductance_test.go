@@ -9,19 +9,52 @@ import (
 	"expandergap/internal/graph"
 )
 
+// cutSize returns |∂(S)|: the number of edges with exactly one endpoint in s.
+func cutSize(g graph.G, s map[int]bool) int {
+	return len(graph.CutEdgesOf(g, s))
+}
+
+// cutConductance returns Φ(S) = |∂(S)| / min(vol(S), vol(V\S)) as defined
+// in Section 2 of the paper, the oracle the cut searches' results are
+// checked against. By convention Φ(∅) = Φ(V) = 0. A cut with min-volume 0
+// (isolated vertices only on one side) has conductance +Inf unless it is
+// also edgeless, in which case 0.
+func cutConductance(g graph.G, s map[int]bool) float64 {
+	inCount := 0
+	volS := 0
+	for v := 0; v < g.N(); v++ {
+		if s[v] {
+			inCount++
+			volS += g.Degree(v)
+		}
+	}
+	if inCount == 0 || inCount == g.N() {
+		return 0
+	}
+	minVol := min(volS, 2*g.M()-volS)
+	cut := cutSize(g, s)
+	if minVol == 0 {
+		if cut == 0 {
+			return 0
+		}
+		return math.Inf(1)
+	}
+	return float64(cut) / float64(minVol)
+}
+
 func TestCutConductanceKnown(t *testing.T) {
 	// C4: cut of two adjacent vertices has |∂S| = 2, vol = 4 -> Φ = 1/2.
 	g := graph.Cycle(4)
 	s := map[int]bool{0: true, 1: true}
-	if got := CutConductance(g, s); got != 0.5 {
+	if got := cutConductance(g, s); got != 0.5 {
 		t.Errorf("C4 adjacent pair conductance = %v, want 0.5", got)
 	}
 	// Trivial cuts have conductance 0.
-	if got := CutConductance(g, map[int]bool{}); got != 0 {
+	if got := cutConductance(g, map[int]bool{}); got != 0 {
 		t.Errorf("empty cut = %v, want 0", got)
 	}
 	all := map[int]bool{0: true, 1: true, 2: true, 3: true}
-	if got := CutConductance(g, all); got != 0 {
+	if got := cutConductance(g, all); got != 0 {
 		t.Errorf("full cut = %v, want 0", got)
 	}
 }
@@ -93,7 +126,7 @@ func TestQuickExactIsMinimum(t *testing.T) {
 			if len(s) == 0 || len(s) == n {
 				continue
 			}
-			if c := CutConductance(g, s); c < phi-1e-12 {
+			if c := cutConductance(g, s); c < phi-1e-12 {
 				return false
 			}
 		}
@@ -125,7 +158,13 @@ func TestLazyWalkStepConservesMass(t *testing.T) {
 
 func TestWalkDistributionConvergesToStationary(t *testing.T) {
 	g := graph.Complete(6)
-	p := WalkDistribution(g, 0, 60)
+	p := make([]float64, g.N())
+	q := make([]float64, g.N())
+	p[0] = 1
+	for i := 0; i < 60; i++ {
+		LazyWalkStep(g, q, p)
+		p, q = q, p
+	}
 	pi := StationaryDistribution(g)
 	for v := range p {
 		if math.Abs(p[v]-pi[v]) > 1e-6 {
@@ -228,25 +267,6 @@ func TestEstimateBoundsBracketExact(t *testing.T) {
 		if b.Lower > exact+1e-9 {
 			t.Errorf("%v: Cheeger lower bound %v above exact %v", g, b.Lower, exact)
 		}
-	}
-}
-
-func TestConductanceDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	phi, exact := Conductance(graph.Cycle(8), rng)
-	if !exact {
-		t.Error("small graph should be exact")
-	}
-	if math.Abs(phi-0.25) > 1e-12 {
-		t.Errorf("C8 conductance = %v, want 0.25", phi)
-	}
-	big := graph.Grid(8, 8)
-	phiBig, exactBig := Conductance(big, rng)
-	if exactBig {
-		t.Error("64-vertex graph should use the estimate")
-	}
-	if phiBig <= 0 {
-		t.Errorf("estimated conductance should be positive, got %v", phiBig)
 	}
 }
 

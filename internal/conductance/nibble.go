@@ -6,10 +6,15 @@ import (
 	"expandergap/internal/graph"
 )
 
-// approximatePageRankDense is the push algorithm over dense slices: p and r
-// are indexed by vertex, inQueue tracks queue membership. Dense state keeps
-// the decomposition's inner loop free of per-push map growth; the push order
-// and float arithmetic are identical to the classic formulation.
+// approximatePageRankDense computes an ε-approximate personalized PageRank
+// vector from the seed vertex with teleport probability alpha, using the
+// classic push algorithm (Andersen–Chung–Lang): maintain (p, r) with p the
+// current approximation and r the residual; repeatedly push at vertices whose
+// residual exceeds epsPush·deg. The result satisfies
+// p(v) ≤ ppr(v) ≤ p(v) + epsPush·deg(v) for all v; vertices the push never
+// reached have p(v) = 0. p and r are indexed by vertex and inQueue tracks
+// queue membership, so the decomposition's inner loop pays no per-push map
+// growth.
 func approximatePageRankDense(g graph.G, seed int, alpha, epsPush float64) []float64 {
 	n := g.N()
 	p := make([]float64, n)
@@ -62,24 +67,6 @@ func approximatePageRankDense(g graph.G, seed int, alpha, epsPush float64) []flo
 			inQueue[u] = true
 		}
 		g.ForEachNeighbor(u, push)
-	}
-	return p
-}
-
-// ApproximatePageRank computes an ε-approximate personalized PageRank vector
-// from the seed vertex with teleport probability alpha, using the classic
-// push algorithm (Andersen–Chung–Lang): maintain (p, r) with p the current
-// approximation and r the residual; repeatedly push at vertices whose
-// residual exceeds epsPush·deg. The result satisfies
-// p(v) ≤ ppr(v) ≤ p(v) + epsPush·deg(v) for all v; vertices the push never
-// reached are absent from the returned map.
-func ApproximatePageRank(g graph.G, seed int, alpha, epsPush float64) map[int]float64 {
-	dense := approximatePageRankDense(g, seed, alpha, epsPush)
-	p := make(map[int]float64)
-	for v, pv := range dense {
-		if pv != 0 {
-			p[v] = pv
-		}
 	}
 	return p
 }

@@ -10,7 +10,7 @@ import (
 
 func TestApproximatePageRankMassBounds(t *testing.T) {
 	g := graph.Grid(6, 6)
-	p := ApproximatePageRank(g, 0, 0.15, 1e-5)
+	p := approximatePageRankDense(g, 0, 0.15, 1e-5)
 	var total float64
 	for v, pv := range p {
 		if pv < 0 {
@@ -36,7 +36,7 @@ func TestApproximatePageRankLocality(t *testing.T) {
 	// With a coarse epsPush the push process must stay local: on a long
 	// path, far vertices receive nothing.
 	g := graph.Path(200)
-	p := ApproximatePageRank(g, 0, 0.2, 1e-3)
+	p := approximatePageRankDense(g, 0, 0.2, 1e-3)
 	for v := 50; v < 200; v++ {
 		if p[v] != 0 {
 			t.Errorf("mass leaked to distant vertex %d", v)
@@ -112,7 +112,7 @@ func TestNibbleQualityOnGridFamilies(t *testing.T) {
 		if s == nil {
 			t.Fatalf("n=%d: nibble empty", n)
 		}
-		if got := CutConductance(g, s); math.Abs(got-phi) > 1e-9 {
+		if got := cutConductance(g, s); math.Abs(got-phi) > 1e-9 {
 			t.Errorf("n=%d: reported Φ %v != recomputed %v", n, phi, got)
 		}
 	}

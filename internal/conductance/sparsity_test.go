@@ -27,7 +27,7 @@ func cutSparsity(g graph.G, s map[int]bool) float64 {
 	if inCount == 0 || inCount == g.N() {
 		return 0
 	}
-	return float64(CutSize(g, s)) / float64(min(inCount, g.N()-inCount))
+	return float64(cutSize(g, s)) / float64(min(inCount, g.N()-inCount))
 }
 
 // exactSparsity returns Ψ(G), the minimum of cutSparsity over the non-trivial

@@ -56,7 +56,13 @@ func TestWalkDistributionMatchesMixingDefinition(t *testing.T) {
 	g := graph.Torus(4, 4)
 	phi := conductance.ExactConductance(g)
 	steps := int(math.Ceil(4 * math.Log(float64(g.N())) / (phi * phi)))
-	p := conductance.WalkDistribution(g, 3, steps)
+	p := make([]float64, g.N())
+	q := make([]float64, g.N())
+	p[3] = 1
+	for i := 0; i < steps; i++ {
+		conductance.LazyWalkStep(g, q, p)
+		p, q = q, p
+	}
 	pi := conductance.StationaryDistribution(g)
 	for v := range p {
 		if math.Abs(p[v]-pi[v]) > pi[v]/float64(g.N())+1e-9 {
