@@ -103,34 +103,50 @@ type Handler interface {
 	Round(v *Vertex, round int, recv []Incoming)
 }
 
-// msgArena is one half of a vertex's double-buffered message arena. Buffers
-// handed out in round r (parity r&1) are reclaimed when the same parity
-// comes around again in round r+2 — by which time every receiver's Round
-// call of round r+1 has returned, so no live reference remains.
+// msgArena is one half of the simulator's double-buffered message arena.
+// Buffers handed out in round r (parity r&1) are reclaimed when the same
+// parity comes around again in round r+2 — by which time every receiver's
+// Round call of round r+1 has returned, so no live reference remains.
 type msgArena struct {
 	buf   []int64
 	used  int
 	round int // last round this arena served; -1 when fresh
 }
 
+// inboxSet holds the inboxes of one round parity: the messages delivered in
+// round r sit in inboxes[r&1]. Vertex v's inbox is flat[off[v] :
+// off[v]+head[v].n], current only while head[v].round is the round being
+// read; a stale head means v received nothing that round. Send writes the
+// next round's parity while the stepped vertices read the current one.
+type inboxSet struct {
+	flat []Incoming
+	head []inboxHead
+}
+
+// inboxHead is one vertex's inbox header within an inboxSet.
+type inboxHead struct {
+	round int32 // delivery round of the messages in the inbox
+	n     int32 // number of messages
+}
+
 // Vertex is the per-vertex view of the network handed to handlers. Handlers
 // may only use the exposed methods; the global graph is not reachable from
 // it, preserving the locality of the model.
 //
-// Vertices live in one contiguous value slice; their ports and outbox slots
-// are sub-slices of shared flat arrays (the CSR layout of DESIGN.md §3.8).
+// Vertices live in one contiguous value slice; their ports are sub-slices
+// of a shared flat array (the CSR layout of DESIGN.md §3.8), and base names
+// their first flat slot.
 type Vertex struct {
 	sim       *Simulator
 	id        int
-	ports     []int32   // neighbor IDs by port, ascending (view into flat array)
-	outbox    []Message // view into the shared flat outbox array
+	ports     []int32 // neighbor IDs by port, ascending (view into flat array)
+	wakeAt    int     // absolute round of the pending SleepUntil timer; 0 = none
+	rng       *rand.Rand
+	output    any
+	base      int32 // off[id]: port p is flat slot base+p
 	halted    bool
 	asleep    bool // quiescent: skipped by the scheduler until woken
-	wakeAt    int  // absolute round of the pending SleepUntil timer; 0 = none
-	rng       *rand.Rand
 	rngSeeded bool // lazily (re)seeded on first Rand() per execution
-	output    any
-	arenas    [2]msgArena
 }
 
 // ID returns this vertex's identifier (0..n-1).
@@ -183,16 +199,24 @@ func (v *Vertex) Rand() *rand.Rand {
 	return v.rng
 }
 
-// MsgBuf returns a zeroed Message of the given word count backed by this
-// vertex's recycling arena. The buffer may be filled and passed to Send /
+// MsgBuf returns a zeroed Message of the given word count backed by the
+// simulator's recycling arena. The buffer may be filled and passed to Send /
 // Broadcast like any Message; it is reclaimed two rounds later, strictly
 // after every receiver's Round call that could observe it has returned
 // (receivers Clone to retain). Steady-state use is allocation-free once the
-// arena has grown to the vertex's peak per-round demand.
+// arena has grown to the run's peak per-round demand.
 func (v *Vertex) MsgBuf(words int) Message {
-	a := &v.arenas[v.sim.curRound&1]
-	if a.round != v.sim.curRound {
-		a.round = v.sim.curRound
+	m := v.sim.alloc(words)
+	clear(m)
+	return m
+}
+
+// alloc hands out the given number of words, not zeroed, from the arena of
+// the current round's parity.
+func (s *Simulator) alloc(words int) Message {
+	a := &s.arenas[s.curRound&1]
+	if a.round != s.curRound {
+		a.round = s.curRound
 		a.used = 0
 	}
 	if a.used+words > len(a.buf) {
@@ -210,42 +234,35 @@ func (v *Vertex) MsgBuf(words int) Message {
 	}
 	m := a.buf[a.used : a.used+words : a.used+words]
 	a.used += words
-	for i := range m {
-		m[i] = 0
-	}
 	return Message(m)
 }
 
-// Send queues msg for delivery to the neighbor on port in the next round.
-// Sending twice to the same port in one round, sending on an invalid port,
-// or exceeding the CONGEST budget panics.
+// Send delivers msg to the neighbor on port in the next round. Sending twice
+// to the same port in one round, sending on an invalid port, or exceeding the
+// CONGEST budget panics.
 //
-// The message goes straight onto the receiver's pending list, as the flat
-// outbox index off[v]+port, and its costs go straight into the run's
-// Metrics and the observer's round histogram. Vertices send in ascending ID
-// order (Init and the step list both ascend), so every pending list, and
-// with it every inbox, is ascending by sender ID.
+// Delivery happens here, at send time: the send stamps the port's slot with
+// the delivery round, adds its costs to the run's Metrics and the observer's
+// round histogram, draws the message's fault coin, and, if the message
+// survives it, writes it straight into the receiver's inbox for the next
+// round's parity. Vertices send in ascending ID order (Init and the step
+// list both ascend), so every inbox is ascending by sender ID.
 func (v *Vertex) Send(port int, msg Message) {
 	if port < 0 || port >= len(v.ports) {
 		panic(fmt.Sprintf("congest: vertex %d send on invalid port %d (degree %d)", v.id, port, len(v.ports)))
 	}
-	if v.outbox[port] != nil {
+	s := v.sim
+	slot := int(v.base) + port
+	due := int32(s.curRound + 1)
+	if s.sentAt[slot] == due {
 		panic(fmt.Sprintf("congest: vertex %d sent twice on port %d in one round", v.id, port))
 	}
-	s := v.sim
 	s.checkMessage(v.id, msg)
 	if len(msg) == 0 {
-		// Distinguish "send empty message" from "no send".
+		// Receivers see an empty message, never a nil one.
 		msg = Message{}
 	}
-	v.outbox[port] = msg
-	rcv := v.ports[port]
-	c := s.pendingCount[rcv]
-	if c == 0 {
-		s.deliverList = append(s.deliverList, rcv)
-	}
-	s.pendingFlat[s.off[rcv]+c] = s.off[v.id] + int32(port)
-	s.pendingCount[rcv] = c + 1
+	s.sentAt[slot] = due
 	s.pendingMsgs++
 	words := len(msg)
 	s.metrics.Messages++
@@ -259,21 +276,36 @@ func (v *Vertex) Send(port int, msg Message) {
 			s.roundMax = words
 		}
 	}
+	rcv := v.ports[port]
+	if fault := s.cfg.FaultRate; fault > 0 && faultCoin(s.cfg.Seed, int(due), v.id, int(rcv)) < fault {
+		return // dropped in transit: sent, but delivered to no one
+	}
+	in := &s.inboxes[due&1]
+	h := &in.head[rcv]
+	if h.round != due {
+		*h = inboxHead{round: due}
+		s.deliverList = append(s.deliverList, rcv)
+	}
+	in.flat[s.off[rcv]+h.n] = Incoming{Port: int(s.rportFlat[slot]), From: v.id, Msg: msg}
+	h.n++
 }
 
-// SendWords queues an arena-backed message with the given words on port: the
+// SendWords sends an arena-backed message with the given words on port: the
 // allocation-free equivalent of Send(port, Message{words...}).
 func (v *Vertex) SendWords(port int, words ...int64) {
-	buf := v.MsgBuf(len(words))
-	copy(buf, words)
+	buf := v.sim.alloc(len(words))
+	for i, w := range words {
+		buf[i] = w
+	}
 	v.Send(port, buf)
 }
 
-// Broadcast sends msg to every neighbor (ports that already have a queued
-// message this round are skipped). Each neighbor receives its own copy.
+// Broadcast sends msg to every neighbor (ports that already carry a message
+// this round are skipped). Each neighbor receives its own copy.
 func (v *Vertex) Broadcast(msg Message) {
+	due := int32(v.sim.curRound + 1)
 	for p := range v.ports {
-		if v.outbox[p] == nil {
+		if v.sim.sentAt[int(v.base)+p] != due {
 			v.Send(p, msg.Clone())
 		}
 	}
@@ -285,19 +317,23 @@ func (v *Vertex) Broadcast(msg Message) {
 // backing buffer, which is safe under the arena contract (received messages
 // are read-only and expire when Round returns).
 func (v *Vertex) BroadcastWords(words ...int64) {
-	buf := v.MsgBuf(len(words))
-	copy(buf, words)
+	s := v.sim
+	buf := s.alloc(len(words))
+	for i, w := range words {
+		buf[i] = w
+	}
+	due := int32(s.curRound + 1)
 	for p := range v.ports {
-		if v.outbox[p] == nil {
+		if s.sentAt[int(v.base)+p] != due {
 			v.Send(p, buf)
 		}
 	}
 }
 
 // Halt marks the vertex as finished. A halted vertex stops receiving Round
-// calls; its queued sends are still delivered (the run executes delivery
-// rounds until every outbox is empty). The simulation ends when all vertices
-// have halted and all queued messages have been delivered.
+// calls; its sends of the current round are still delivered (the run executes
+// one more round to deliver them). The simulation ends when all vertices have
+// halted and every message sent has been delivered.
 func (v *Vertex) Halt() {
 	if !v.halted {
 		v.halted = true
@@ -315,8 +351,8 @@ func (v *Vertex) Halted() bool { return v.halted }
 // wakes are decided after the fault filter, so sleeping never changes what a
 // vertex observes. Sleeping is only legal when the handler would otherwise do
 // nothing observable in the skipped rounds: no sends, no Rand() draws, no
-// state changes (see DESIGN.md §3.10). Queued sends from the current round
-// are still delivered. Sleep cancels a pending SleepUntil timer and is a
+// state changes (see DESIGN.md §3.10). Sends from the current round are
+// still delivered. Sleep cancels a pending SleepUntil timer and is a
 // no-op on a halted vertex. Unlike Halt, Sleep is reversible and does not
 // count toward termination: a run in which every non-halted vertex sleeps
 // forever with no pending messages or timers fails with ErrDeadlock rather
@@ -428,7 +464,7 @@ type Simulator struct {
 
 	// Observability (nil when Config.Obs is unset; see trace.go). roundHist
 	// and roundMax collect the current round's message-size histogram and
-	// largest message as Send queues them; recordRound drains them.
+	// largest message as Send counts them; recordRound drains them.
 	// wordBits caches BitsPerWord(n) for bit attribution.
 	obs       *Observer
 	wordBits  int
@@ -437,8 +473,9 @@ type Simulator struct {
 
 	// O(1) termination tracking (DESIGN.md §3.8): haltedCount is the number
 	// of vertices that have halted (Halt counts it), pendingMsgs the number
-	// of messages queued by the most recent Init/compute phase (Send counts
-	// it, Step zeroes it once delivery has drained every outbox).
+	// of messages sent by the most recent Init/compute phase, dropped ones
+	// included (Send counts it, Step zeroes it once the next round's step
+	// list is assembled).
 	haltedCount int
 	pendingMsgs int64
 	// curRound is the round whose compute (or Init, round 0) phase is
@@ -446,35 +483,35 @@ type Simulator struct {
 	curRound int
 
 	// CSR layout, built once per Simulator and shared by all executions:
-	// vertex v's ports, reverse ports, outbox slots, pending list, and inbox
-	// are the flat-array ranges [off[v], off[v+1]). Flat index
-	// off[v]+p names v's port p; rportFlat[off[v]+p] is the port on neighbor
+	// vertex v's ports, reverse ports, send stamps, and inbox slots are the
+	// flat-array ranges [off[v], off[v+1]). Flat index off[v]+p names v's
+	// port p; rportFlat[off[v]+p] is the port on neighbor
 	// portsFlat[off[v]+p] that leads back to v.
 	off       []int32
 	portsFlat []int32
 	rportFlat []int32
 
 	// Reusable per-run state.
-	verts       []Vertex
-	outboxFlat  []Message
-	pendingFlat []int32 // flat outbox indices of the messages queued to v; v's list is pendingCount[v] long
-	inboxFlat   []Incoming
-	inboxes     [][]Incoming
-	handlers    []Handler
-	active      bool
+	verts    []Vertex
+	handlers []Handler
+	active   bool
+	// sentAt[off[v]+p] is the delivery round of v's latest send on port p,
+	// 0 before its first. Send panics on a second send stamped with the
+	// same round; Broadcast skips the ports already stamped.
+	sentAt  []int32
+	inboxes [2]inboxSet // by delivery-round parity
+	arenas  [2]msgArena // by send-round parity
 
 	// Sparse activation scheduler (sched.go, DESIGN.md §3.10). All worklists
 	// are preallocated to capacity n by buildLayout, keeping the
 	// steady-state round loop allocation-free while costing O(active +
 	// messages) per round instead of O(n + m).
-	awake        []int32   // vertices eligible to step next round, ascending
-	stepList     []int32   // vertices stepped this round, ascending
-	wakeList     []int32   // sleepers woken this round, ascending once sorted
-	deliverList  []int32   // vertices with queued incoming messages, deduped, in first-send order
-	pendingCount []int32   // length of each vertex's pending list (0 unless listed)
-	inboxRound   []int     // round whose messages inboxes[v] currently holds
-	timers       timerHeap // pending SleepUntil wakes, lazily deleted
-	timerStamp   []int     // latest wake round pushed per vertex, to dedup re-sleeps
+	awake       []int32   // vertices eligible to step next round, ascending
+	stepList    []int32   // vertices stepped this round, ascending
+	wakeList    []int32   // sleepers woken this round, ascending
+	deliverList []int32   // receivers of a surviving message for the next round, deduped, in first-send order
+	wakes       idSet     // this round's wakes, marked before they are read out in ID order
+	timers      timerHeap // pending SleepUntil wakes, one entry per vertex
 }
 
 // NewSimulator returns a Simulator for g under cfg.
@@ -495,7 +532,7 @@ func (s *Simulator) Graph() *graph.Graph { return s.g }
 func (s *Simulator) Config() Config { return s.cfg }
 
 // checkMessage validates msg against the model; Send calls it before
-// queueing anything, so a violation panics with the run state untouched.
+// changing anything, so a violation panics with the run state untouched.
 func (s *Simulator) checkMessage(sender int, msg Message) {
 	if s.cfg.Model == LOCAL {
 		return
@@ -557,64 +594,21 @@ func (s *Simulator) buildLayout() {
 			i++
 		})
 	}
-	s.outboxFlat = make([]Message, total)
-	s.pendingFlat = make([]int32, total)
-	s.inboxFlat = make([]Incoming, total)
+	s.sentAt = make([]int32, total)
+	for p := range s.inboxes {
+		s.inboxes[p] = inboxSet{flat: make([]Incoming, total), head: make([]inboxHead, n)}
+	}
 	s.verts = make([]Vertex, n)
-	s.inboxes = make([][]Incoming, n)
 	s.handlers = make([]Handler, n)
 	s.awake = make([]int32, 0, n)
 	s.stepList = make([]int32, 0, n)
 	s.wakeList = make([]int32, 0, n)
 	s.deliverList = make([]int32, 0, n)
-	s.pendingCount = make([]int32, n)
-	s.inboxRound = make([]int, n)
-	s.timers = make(timerHeap, 0, n)
-	s.timerStamp = make([]int, n)
+	s.wakes = newIDSet(n)
+	s.timers = newTimerHeap(n)
 	for v := 0; v < n; v++ {
 		lo, hi := s.off[v], s.off[v+1]
-		s.verts[v] = Vertex{
-			sim:    s,
-			id:     v,
-			ports:  s.portsFlat[lo:hi:hi],
-			outbox: s.outboxFlat[lo:hi:hi],
-		}
-		s.inboxes[v] = s.inboxFlat[lo:lo:hi]
-	}
-}
-
-// deliver moves the queued messages into the inboxes of every deliverList
-// receiver for the given round. Each receiver walks only its own pending
-// list — the flat outbox indices of its queued messages, recorded by Send —
-// claims each message from the sender's outbox slot, and recovers its own
-// port from the reverse-port array, so delivery costs O(messages), not
-// O(degree). The pending list is ascending by sender ID, so inbox order is
-// canonically ascending by sender ID. Every queued message is drained here —
-// deliverList covers all receivers of the previous phase's sends by
-// construction — and every pending count is zeroed, which is what lets the
-// next phase's Send list a receiver on its first message. inboxRound is
-// stamped even when every message to a receiver is dropped by fault
-// injection, so stale inbox contents from an earlier round can never be
-// re-observed.
-func (s *Simulator) deliver(round int) {
-	fault := s.cfg.FaultRate
-	for _, id := range s.deliverList {
-		v := &s.verts[id]
-		inbox := s.inboxes[id][:0]
-		base := s.off[id]
-		for _, e := range s.pendingFlat[base : base+s.pendingCount[id]] {
-			msg := s.outboxFlat[e]
-			s.outboxFlat[e] = nil
-			p := s.rportFlat[e]
-			from := v.ports[p]
-			if fault > 0 && faultCoin(s.cfg.Seed, round, int(from), int(id)) < fault {
-				continue // dropped in transit (still counted as sent)
-			}
-			inbox = append(inbox, Incoming{Port: int(p), From: int(from), Msg: msg})
-		}
-		s.pendingCount[id] = 0
-		s.inboxes[id] = inbox
-		s.inboxRound[id] = round
+		s.verts[v] = Vertex{sim: s, id: v, base: lo, ports: s.portsFlat[lo:hi:hi]}
 	}
 }
 
@@ -629,7 +623,7 @@ type Execution struct {
 	closed bool
 	// obsPrev is the metrics snapshot at the previous round barrier; the
 	// delta against it is what Step attributes to the observer's current
-	// phase. Sends queued during Init are included in round 1's delta.
+	// phase. Sends made during Init are included in round 1's delta.
 	obsPrev Metrics
 }
 
@@ -656,22 +650,18 @@ func (s *Simulator) Start(newHandler func(v *Vertex) Handler) *Execution {
 		v.asleep = false
 		v.wakeAt = 0
 		v.output = nil
-		v.arenas[0].used, v.arenas[0].round = 0, -1
-		v.arenas[1].used, v.arenas[1].round = 0, -1
 		// Marking the rng stale is enough: Rand() reseeds on first use, so
 		// repeated runs stay bit-identical to a fresh Simulator without
 		// paying the O(n) reseed cost for workloads that never draw.
 		v.rngSeeded = false
-		for p := range v.outbox {
-			v.outbox[p] = nil
-		}
-		lo := s.off[i]
-		s.inboxes[i] = s.inboxFlat[lo:lo]
+	}
+	for p := range s.arenas {
+		s.arenas[p].used, s.arenas[p].round = 0, -1
 	}
 	for id := 0; id < n; id++ {
 		s.handlers[id] = newHandler(&s.verts[id])
 	}
-	// Init's sends queue onto the pending lists, so whatever a failed run
+	// Init's sends stamp ports and fill inboxes, so whatever a failed run
 	// left there must be cleared first.
 	s.resetSchedule()
 	for id := 0; id < n; id++ {
@@ -683,19 +673,20 @@ func (s *Simulator) Start(newHandler func(v *Vertex) Handler) *Execution {
 	return &Execution{s: s}
 }
 
-// Step executes one synchronized round: delivery over the deliverList, the
-// barrier assembly of the step list (awake vertices plus message and timer
-// wakes), compute over the step list in ascending ID order, and the rebuild
-// of the awake list. It reports done=true (without executing anything) once
-// every vertex has halted and every queued message has been delivered — an
-// O(1) check against the running counters — ErrDeadlock when no vertex can
-// ever step again, and ErrMaxRounds when the round budget is exhausted.
+// Step executes one synchronized round: the barrier assembly of the step
+// list (awake vertices plus message and timer wakes), compute over the step
+// list in ascending ID order, and the rebuild of the awake list. The round's
+// messages were delivered as they were sent. It reports done=true (without
+// executing anything) once every vertex has halted and every message sent
+// has been delivered — an O(1) check against the running counters —
+// ErrDeadlock when no vertex can ever step again, and ErrMaxRounds when the
+// round budget is exhausted.
 func (e *Execution) Step() (done bool, err error) {
 	s := e.s
 	if s.haltedCount == s.g.N() && s.pendingMsgs == 0 {
 		return true, nil
 	}
-	if len(s.awake) == 0 && len(s.deliverList) == 0 && len(s.timers) == 0 {
+	if len(s.awake) == 0 && s.pendingMsgs == 0 && len(s.timers.h) == 0 {
 		return false, fmt.Errorf("%w (%d of %d vertices halted)", ErrDeadlock, s.haltedCount, s.g.N())
 	}
 	round := e.round + 1
@@ -704,21 +695,21 @@ func (e *Execution) Step() (done bool, err error) {
 	}
 	e.round = round
 	s.curRound = round
-	s.deliver(round)
 	s.metrics.Rounds++
 	s.assembleStepList(round)
-	// Every queued message now sits in an inbox: this round's sends start
-	// empty lists.
+	// This round's sends start the next round's lists.
 	s.deliverList = s.deliverList[:0]
 	s.pendingMsgs = 0
+	in := &s.inboxes[round&1]
 	for _, id := range s.stepList {
 		v := &s.verts[id]
 		if v.halted {
 			continue
 		}
 		var recv []Incoming
-		if s.inboxRound[id] == round {
-			recv = s.inboxes[id]
+		if h := in.head[id]; h.round == int32(round) {
+			lo := v.base
+			recv = in.flat[lo : lo+h.n : lo+h.n]
 		}
 		s.handlers[id].Round(v, round, recv)
 	}
@@ -777,7 +768,7 @@ func (e *Execution) Close() {
 }
 
 // Run executes the algorithm produced by newHandler on every vertex until
-// all halt (and all queued messages are delivered) or MaxRounds is exceeded.
+// all halt (and every message sent is delivered) or MaxRounds is exceeded.
 // It returns the per-vertex outputs and aggregated metrics. Run may be
 // called repeatedly; each call is an independent execution (metrics reset)
 // that reuses the Simulator's cached layout and buffers.

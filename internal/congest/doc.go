@@ -22,12 +22,14 @@
 // canonical, the execution order of vertices within a round cannot be
 // observed by a (well-formed) handler.
 //
-// One goroutine executes every round: delivery, then each stepped vertex's
-// Round call in ascending ID order. Send queues a message straight onto its
-// receiver's pending list and adds its costs to the run's Metrics, and Halt
-// counts toward termination at once, so the round barrier only rebuilds the
-// scheduler's worklists. Stepping in ascending ID order keeps every pending
-// list ascending by sender, which is the canonical inbox order.
+// One goroutine executes every round: each stepped vertex's Round call in
+// ascending ID order. Send delivers at once: it stamps the port with the
+// delivery round, adds the message's costs to the run's Metrics, draws its
+// fault coin, and writes a surviving message straight into the receiver's
+// inbox for the next round. Halt counts toward termination at once, so the
+// round barrier only rebuilds the scheduler's worklists. Stepping in
+// ascending ID order keeps every inbox ascending by sender, which is the
+// canonical inbox order.
 //
 // A run ends when every vertex has halted and every queued message has been
 // delivered: sends queued in a vertex's final round still cost (and are
@@ -45,11 +47,11 @@
 // code uses when it needs control between rounds (early stopping, phase
 // annotation, interleaving with other work):
 //
-//	e := sim.Start(newHandler) // resets run state, runs every Init, delivers nothing yet
+//	e := sim.Start(newHandler) // resets run state, runs every Init (its sends arrive in round 1)
 //	for {
-//	    done, err := e.Step()  // one synchronized round: deliver, compute, barrier
+//	    done, err := e.Step()  // one synchronized round: assemble, compute, barrier
 //	    if err != nil { ... }  // ErrMaxRounds when Config.MaxRounds is exceeded
-//	    if done { break }      // all vertices halted, all queued messages delivered
+//	    if done { break }      // all vertices halted, every message sent delivered
 //	}
 //	res := e.Finish()          // collects per-vertex outputs, releases the execution
 //
@@ -64,12 +66,13 @@
 //
 // The steady-state round loop is allocation-free (see DESIGN.md §3.8). The
 // vertex table is stored CSR-style: one value slice of Vertex records whose
-// ports, reverse ports, outbox slots, pending lists, and inbox slots occupy
-// the same contiguous range of five shared flat arrays, built once per
-// Simulator and reused across Run calls. Handlers that need per-round
-// message buffers should use Vertex.MsgBuf (or the SendWords/BroadcastWords
-// conveniences), which recycles a per-vertex double-buffered arena instead
-// of allocating.
+// ports, reverse ports, send stamps, and the inbox slots of both round
+// parities occupy the same contiguous range of shared flat arrays, built
+// once per Simulator and reused across Run calls. Handlers that need
+// per-round message buffers should use Vertex.MsgBuf (or the
+// SendWords/BroadcastWords conveniences), which recycles the simulator's
+// double-buffered arena — one pair for all vertices — instead of
+// allocating.
 //
 // Arena lifetime contract: a Message received in a Round call is valid only
 // until that Round call returns. Handlers that retain a message across

@@ -155,3 +155,24 @@ func TestFaultsStillCountAsSent(t *testing.T) {
 		t.Errorf("metrics = %+v, want the dropped message counted as sent", res.Metrics)
 	}
 }
+
+// TestAllDroppedRoundStillRuns halts every vertex right after a broadcast
+// that fault injection drops entirely. No message reaches an inbox, yet the
+// messages were sent: the run must execute (and count) their delivery round
+// and finish, not fail with ErrDeadlock.
+func TestAllDroppedRoundStillRuns(t *testing.T) {
+	g := graph.Path(4)
+	sim := NewSimulator(g, Config{Seed: 1, FaultRate: 1})
+	res, err := sim.Run(func(v *Vertex) Handler {
+		return RunFuncs{RoundFn: func(v *Vertex, round int, recv []Incoming) {
+			v.BroadcastWords(1)
+			v.Halt()
+		}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics.Rounds != 2 || res.Metrics.Messages != int64(2*g.M()) {
+		t.Errorf("%d rounds, %d messages; want 2 rounds, %d messages", res.Metrics.Rounds, res.Metrics.Messages, 2*g.M())
+	}
+}

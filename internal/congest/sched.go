@@ -1,6 +1,6 @@
 package congest
 
-import "slices"
+import "math/bits"
 
 // This file implements the sparse activation scheduler (DESIGN.md §3.10).
 //
@@ -9,103 +9,191 @@ import "slices"
 //
 //   - awake:       vertices eligible to step next round (non-halted, not
 //                  sleeping), ascending by ID.
-//   - deliverList: vertices with at least one message queued to them by the
-//                  previous compute phase (pre-fault-filter), deduped, in the
-//                  order Send first queued to them.
+//   - deliverList: vertices that a message survived the fault filter to
+//                  reach for the next round, deduped, in the order Send
+//                  first reached them.
 //   - wakeList:    sleeping vertices woken this round by a delivered message
-//                  or an expired SleepUntil timer, ascending once sorted.
+//                  or an expired SleepUntil timer, ascending by ID.
 //   - stepList:    vertices actually stepped this round — awake merged with
 //                  wakeList, ascending by ID.
 //
-// Send appends to deliverList as it queues; the other three are rebuilt at
+// Send appends to deliverList as it delivers; the other three are rebuilt at
 // the round barrier from per-vertex state. All four live in buffers
 // preallocated to capacity n by buildLayout, so the steady-state round loop
-// remains allocation-free. deliverList needs no order: delivery is
-// receiver-local and each inbox is filled from the receiver's own pending
-// list. Only the wake list, usually a small fraction of the step list, is
-// sorted each round.
+// remains allocation-free. deliverList needs no order: it only names the
+// sleepers a message wakes. The wakes are marked in a bitmap and read out in
+// ID order, so no list is ever sorted.
 //
-// Messages move from sender to receiver through one more per-vertex list,
-// laid out in flat arrays like the ports: a receiver's pending list (the
-// flat outbox indices off[sender]+port of its queued messages, pendingCount
-// long). Send appends to it and delivery walks it, so both cost O(messages)
-// rather than O(degree) per vertex. Vertices run in ascending ID order (the
-// step list and the Init walk both ascend), so every pending list — and
-// with it every inbox — is ascending by sender ID.
+// Send writes each message straight into its receiver's inbox for the next
+// round's parity (congest.go). Vertices run in ascending ID order (the step
+// list and the Init walk both ascend), so every inbox is ascending by sender
+// ID.
 
 // timerHeap is a binary min-heap of packed (wakeRound<<32 | vertexID)
-// entries. Packing into one int64 makes the heap comparison order by round
-// first, vertex ID second, with no interface boxing and no allocation beyond
-// the backing array. Entries are lazily deleted: a vertex woken early by a
-// message leaves its entry behind, and the pop in the entry's round discards
-// it because the vertex no longer validates (not asleep, or wakeAt moved).
-type timerHeap []int64
+// entries, at most one per vertex. Packing into one int64 makes the heap
+// comparison order by round first, vertex ID second, with no interface
+// boxing and no allocation beyond the backing arrays. pos[id] is the index
+// of id's entry, or -1, so re-arming a sleeper moves its entry instead of
+// pushing another. A vertex woken early by a message keeps its entry until
+// it is re-armed or popped; the pop discards it because the vertex no longer
+// validates (not asleep, or wakeAt moved).
+type timerHeap struct {
+	h   []int64
+	pos []int32
+}
 
 func packTimer(round, id int) int64 { return int64(round)<<32 | int64(id) }
 
 func unpackTimer(t int64) (round, id int) { return int(t >> 32), int(t & 0xffffffff) }
 
-func (h *timerHeap) push(t int64) {
-	*h = append(*h, t)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent] <= s[i] {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
+func newTimerHeap(n int) timerHeap {
+	t := timerHeap{h: make([]int64, 0, n), pos: make([]int32, n)}
+	for i := range t.pos {
+		t.pos[i] = -1
+	}
+	return t
+}
+
+// set arms id's timer for round, moving its entry if it has one.
+func (t *timerHeap) set(id, round int) {
+	e := packTimer(round, id)
+	i := int(t.pos[id])
+	if i < 0 {
+		t.h = append(t.h, e)
+		t.up(len(t.h) - 1)
+		return
+	}
+	old := t.h[i]
+	t.h[i] = e
+	if e < old {
+		t.up(i)
+	} else {
+		t.down(i)
 	}
 }
 
-func (h *timerHeap) pop() int64 {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	*h = s[:last]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= last {
-			break
-		}
-		small := l
-		if r := l + 1; r < last && s[r] < s[l] {
-			small = r
-		}
-		if s[i] <= s[small] {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
+// pop removes and returns the earliest entry.
+func (t *timerHeap) pop() int64 {
+	top := t.h[0]
+	last := len(t.h) - 1
+	t.move(0, t.h[last])
+	t.h = t.h[:last]
+	t.pos[top&0xffffffff] = -1
+	if last > 0 {
+		t.down(0)
 	}
 	return top
 }
 
-// assembleStepList builds the set of vertices to step in the given round:
-// every awake vertex, plus sleeping vertices woken by a message that survived
-// the fault filter (the wake decision is made after delivery precisely so a
-// dropped message cannot wake anyone), plus sleeping vertices whose
-// SleepUntil timer expires this round. Runs at the barrier between the
-// delivery and compute phases.
-//
-// The three sources are disjoint — awake vertices are not asleep, and a
-// message wake clears asleep before the timer drain runs — so no dedup pass
-// is needed. awake is already ascending; the wakes are sorted on their own
-// and merged into it.
-func (s *Simulator) assembleStepList(round int) {
-	wakes := s.wakeList[:0]
-	for _, id := range s.deliverList {
-		v := &s.verts[id]
-		if v.asleep && !v.halted && len(s.inboxes[id]) > 0 {
-			v.asleep, v.wakeAt = false, 0
-			wakes = append(wakes, id)
+// move stores entry e at index i and records its position.
+func (t *timerHeap) move(i int, e int64) {
+	t.h[i] = e
+	t.pos[e&0xffffffff] = int32(i)
+}
+
+func (t *timerHeap) up(i int) {
+	e := t.h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if t.h[parent] <= e {
+			break
+		}
+		t.move(i, t.h[parent])
+		i = parent
+	}
+	t.move(i, e)
+}
+
+func (t *timerHeap) down(i int) {
+	e := t.h[i]
+	n := len(t.h)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		small := l
+		if r := l + 1; r < n && t.h[r] < t.h[l] {
+			small = r
+		}
+		if e <= t.h[small] {
+			break
+		}
+		t.move(i, t.h[small])
+		i = small
+	}
+	t.move(i, e)
+}
+
+// reset empties the heap.
+func (t *timerHeap) reset() {
+	for _, e := range t.h {
+		t.pos[e&0xffffffff] = -1
+	}
+	t.h = t.h[:0]
+}
+
+// idSet is a set of vertex IDs as an n-bit bitmap with one summary bit per
+// 64-bit word, set while that word is non-zero. drain reads the members out
+// in ascending order in O(members + n/4096).
+type idSet struct {
+	words   []uint64
+	summary []uint64
+}
+
+func newIDSet(n int) idSet {
+	w := (n + 63) / 64
+	return idSet{words: make([]uint64, w), summary: make([]uint64, (w+63)/64)}
+}
+
+func (b *idSet) add(id int32) {
+	w := id >> 6
+	b.words[w] |= 1 << (id & 63)
+	b.summary[w>>6] |= 1 << (w & 63)
+}
+
+// drain appends the members to dst in ascending order and empties the set.
+func (b *idSet) drain(dst []int32) []int32 {
+	for si, sw := range b.summary {
+		if sw == 0 {
+			continue
+		}
+		b.summary[si] = 0
+		for sw != 0 {
+			w := si<<6 + bits.TrailingZeros64(sw)
+			sw &= sw - 1
+			word := b.words[w]
+			b.words[w] = 0
+			for word != 0 {
+				dst = append(dst, int32(w<<6+bits.TrailingZeros64(word)))
+				word &= word - 1
+			}
 		}
 	}
-	for len(s.timers) > 0 {
-		due, _ := unpackTimer(s.timers[0])
+	return dst
+}
+
+// assembleStepList builds the set of vertices to step in the given round:
+// every awake vertex, plus sleeping vertices that a message reached (Send
+// lists a receiver only once a message to it survives the fault filter, so a
+// dropped message cannot wake anyone), plus sleeping vertices whose
+// SleepUntil timer expires this round. Runs at the barrier before the
+// compute phase.
+//
+// The three sources are disjoint — awake vertices are not asleep, and a
+// message wake clears asleep before the timer drain runs. awake is already
+// ascending; the wakes come out of the bitmap ascending and are merged into
+// it.
+func (s *Simulator) assembleStepList(round int) {
+	for _, id := range s.deliverList {
+		v := &s.verts[id]
+		if v.asleep && !v.halted {
+			v.asleep, v.wakeAt = false, 0
+			s.wakes.add(id)
+		}
+	}
+	for len(s.timers.h) > 0 {
+		due, _ := unpackTimer(s.timers.h[0])
 		if due > round {
 			break
 		}
@@ -113,10 +201,10 @@ func (s *Simulator) assembleStepList(round int) {
 		v := &s.verts[id]
 		if v.asleep && !v.halted && v.wakeAt == due {
 			v.asleep, v.wakeAt = false, 0
-			wakes = append(wakes, int32(id))
+			s.wakes.add(int32(id))
 		}
 	}
-	slices.Sort(wakes)
+	wakes := s.wakes.drain(s.wakeList[:0])
 	s.wakeList = wakes
 	step, awake := s.stepList[:0], s.awake
 	for len(awake) > 0 && len(wakes) > 0 {
@@ -132,18 +220,18 @@ func (s *Simulator) assembleStepList(round int) {
 
 // mergeStepped rebuilds the awake list from the vertices that stepped this
 // round (only they can have changed state) and arms their SleepUntil
-// timers. Every stepped vertex entered its Round call with asleep=false and
-// wakeAt=0, so a vertex sleeping with a timer is pushed onto the heap
-// exactly once per sleep.
+// timers. A vertex that re-arms moves its one heap entry.
 func (s *Simulator) mergeStepped() {
 	awake := s.awake[:0]
 	for _, id := range s.stepList {
 		v := &s.verts[id]
 		switch {
 		case v.halted:
-			// Dropped from all lists; queued sends still deliver next round.
+			// Dropped from all lists; its sends still deliver next round.
 		case v.asleep:
-			s.armTimer(v, int(id))
+			if v.wakeAt > 0 {
+				s.timers.set(int(id), v.wakeAt)
+			}
 		default:
 			awake = append(awake, id)
 		}
@@ -151,35 +239,18 @@ func (s *Simulator) mergeStepped() {
 	s.awake = awake
 }
 
-// armTimer pushes a sleeping vertex's SleepUntil wake onto the heap, unless
-// a live entry for the same (vertex, round) already exists. The dedup
-// matters for workloads where a vertex is repeatedly message-woken and
-// re-sleeps toward the same far-future round (the routing exchange's final
-// output round, say): without it, every wake would stack one more stale
-// entry that survives until that round. timerStamp records the latest round
-// pushed per vertex; rounds never repeat within an execution, so the stamp
-// never needs clearing on pop.
-func (s *Simulator) armTimer(v *Vertex, id int) {
-	if v.wakeAt > 0 && s.timerStamp[id] != v.wakeAt {
-		s.timerStamp[id] = v.wakeAt
-		s.timers.push(packTimer(v.wakeAt, id))
-	}
-}
-
 // resetSchedule clears the scheduler for a fresh execution, before Init
-// queues anything: all worklists, pending counts (a failed run may leave
-// some, and Send lists a receiver only when its count is zero) and stamps
-// (round numbers restart at 1 each run, so stale stamps from a previous
-// execution must not alias).
+// sends anything: all worklists, the timer heap, and the send and inbox
+// stamps (round numbers restart at 1 each run, so stale stamps from a
+// previous execution must not alias).
 func (s *Simulator) resetSchedule() {
 	s.stepList = s.stepList[:0]
 	s.wakeList = s.wakeList[:0]
 	s.deliverList = s.deliverList[:0]
 	s.awake = s.awake[:0]
-	s.timers = s.timers[:0]
-	for id := range s.verts {
-		s.pendingCount[id] = 0
-		s.inboxRound[id] = 0
-		s.timerStamp[id] = 0
+	s.timers.reset()
+	clear(s.sentAt)
+	for p := range s.inboxes {
+		clear(s.inboxes[p].head)
 	}
 }
