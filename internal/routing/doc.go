@@ -11,15 +11,19 @@
 // The reverse direction implements the paper's "reversing the routing
 // procedure" (§2.2 and §2.3) without any per-token lookup. A queued token
 // carries the (port, phase round) of the arrival that brought it, and every
-// forward send pushes a departure — its round, its port and that arrival —
-// onto the sending vertex's stack. At most one token crosses any (edge,
+// forward send appends a departure — its round, its port and that arrival —
+// to the exchange's one departure log, in send order, which is round order.
+// Each departure also links to the sending relay's previous one, and a relay
+// keeps only the index of its latest, so each relay's departures form a
+// chain in descending round order. At most one token crosses any (edge,
 // direction, round), so (round, port) names exactly one departure; a
 // response leaving the leader at 2T+2-a for an arrival at round a reaches
 // the previous vertex at round 2T+2-d on the port its departure at d used,
 // and so on back to the origin. Reverse arrivals therefore come in
 // decreasing departure round: departures above the current one belong to
-// tokens that never came back and are dropped from the top, and the match is
-// a scan over at most deg(v) entries that share the round. The undone
+// tokens that never came back and are dropped from the chain's head, and the
+// match follows at most deg(v) links among the entries that share the round.
+// The reverse phase thus reads the log backward, in round order. The undone
 // departure's arrival says where the response goes next (port -1: it is
 // home). The reverse schedule is collision-free for the same reason, and
 // adds no words to any message.

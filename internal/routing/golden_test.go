@@ -3,6 +3,7 @@ package routing
 import (
 	"hash/fnv"
 	"slices"
+	"sync"
 	"testing"
 
 	"expandergap/internal/congest"
@@ -216,5 +217,43 @@ func TestExchangeRevisitsRetrace(t *testing.T) {
 		if got := exchangeHash(res, m); got != tc.want {
 			t.Errorf("%s: hash %d, want %d", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestConcurrentExchanges runs exchanges of different sizes on several
+// goroutines at once, each drawing its departure log from the shared pool:
+// every one must hash exactly as it does alone. Run it with -race.
+func TestConcurrentExchanges(t *testing.T) {
+	grid := graph.Grid(8, 8)
+	gnp := graph.ErdosRenyiStream(120, 5.0/120, 21, 0)
+	run := func(i int) uint64 {
+		g, plan := grid, componentPlan(grid, func(v int) int { return (v/8)/4*2 + (v%8)/4 }, 120, RandomWalk)
+		if i%2 == 1 {
+			g, plan = gnp, componentPlan(gnp, func(v int) int { return v % 3 }, 200, RandomWalk)
+		}
+		res, m, err := Exchange(g, congest.Config{Seed: int64(i)}, plan, tokensPer(g.N(), 1+i%3), respondMix)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		return exchangeHash(res, m)
+	}
+	const runs = 6
+	want := make([]uint64, runs)
+	for i := range want {
+		want[i] = run(i)
+	}
+	got := make([]uint64, runs)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = run(i)
+		}(i)
+	}
+	wg.Wait()
+	if !slices.Equal(got, want) {
+		t.Errorf("concurrent exchanges hash %v, alone %v", got, want)
 	}
 }

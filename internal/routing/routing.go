@@ -3,6 +3,8 @@ package routing
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 
 	"expandergap/internal/congest"
 	"expandergap/internal/graph"
@@ -92,12 +94,16 @@ type held struct {
 	from arrival
 }
 
-// departure is one forward send from a vertex: the phase round and port the
-// token left on, plus the arrival that brought it. A vertex's departures form
-// a stack in ascending round order; the reverse phase pops them (see doc.go).
+// departure is one forward send: the phase round and port the token left on,
+// the arrival that brought it to the sending relay, and prev, the log index
+// of that relay's previous departure (-1 for none). An exchange appends every
+// departure to one log in send order, which is round order; following prev
+// from a relay's latest departure visits its departures in descending round
+// order, and the reverse phase pops them in that order (see doc.go).
 type departure struct {
 	round, port int32
 	from        arrival
+	prev        int32
 }
 
 // pendingSend is a reverse send queued at a vertex, due at a phase round.
@@ -157,12 +163,13 @@ func (h *reverseHeap) pop() pendingSend {
 type routeHandler struct {
 	plan         *Plan
 	isLeader     bool
-	samePorts    []int
-	queue        []held      // tokens currently held (forward phase)
-	portStamp    []int       // portStamp[p] == pr marks port p used this round
-	departures   []departure // forward sends, ascending by round
-	absorbed     []Token     // leader only
-	arrivals     []arrival   // leader only, parallel to absorbed
+	samePorts    []int32      // same-cluster ports
+	queue        []held       // tokens currently held (forward phase)
+	portStamp    []int32      // portStamp[p] == pr marks port p used this round
+	log          *[]departure // the exchange's departure log, shared by all handlers
+	top          int32        // log index of this relay's latest live departure, -1 for none
+	absorbed     []Token      // leader only
+	arrivals     []arrival    // leader only, parallel to absorbed
 	reverse      reverseHeap
 	responses    []Token
 	respond      func(leader int, t Token) (int64, int64)
@@ -179,7 +186,7 @@ func (h *routeHandler) Round(v *congest.Vertex, round int, recv []congest.Incomi
 	if round == 1 {
 		for _, in := range recv {
 			if len(in.Msg) == 1 && in.Msg[0] == int64(h.plan.Cluster[v.ID()]) {
-				h.samePorts = append(h.samePorts, in.Port)
+				h.samePorts = append(h.samePorts, int32(in.Port))
 			}
 		}
 		h.maybeSleep(v, 0, T)
@@ -252,6 +259,10 @@ func (h *routeHandler) forwardStep(v *congest.Vertex, pr int) {
 	if len(h.queue) == 0 || len(h.samePorts) == 0 {
 		return
 	}
+	var r *rand.Rand
+	if h.plan.Strategy == RandomWalk {
+		r = v.Rand()
+	}
 	// Compact waiting tokens in place: the write index never overtakes the
 	// read index, so the queue backing array is reused round after round.
 	stay := h.queue[:0]
@@ -259,12 +270,12 @@ func (h *routeHandler) forwardStep(v *congest.Vertex, pr int) {
 		var port int
 		switch h.plan.Strategy {
 		case RandomWalk:
-			// Lazy step: stay with probability 1/2.
-			if v.Rand().Intn(2) == 0 {
+			moved, i := lazyStep(r, len(h.samePorts))
+			if !moved {
 				stay = append(stay, q)
 				continue
 			}
-			port = h.samePorts[v.Rand().Intn(len(h.samePorts))]
+			port = int(h.samePorts[i])
 		case TreeParent:
 			port = v.PortOf(h.plan.Parent[v.ID()])
 			if port < 0 {
@@ -274,17 +285,42 @@ func (h *routeHandler) forwardStep(v *congest.Vertex, pr int) {
 		default:
 			panic(fmt.Sprintf("routing: unknown strategy %d", h.plan.Strategy))
 		}
-		if h.portStamp[port] == pr {
+		if h.portStamp[port] == int32(pr) {
 			// Edge busy this round: wait (counts as a lazy step).
 			stay = append(stay, q)
 			continue
 		}
-		h.portStamp[port] = pr
+		h.portStamp[port] = int32(pr)
 		tok := q.tok
 		v.SendWords(port, kindForward, int64(tok.Origin), int64(tok.Seq), tok.A, tok.B)
-		h.departures = append(h.departures, departure{round: int32(pr), port: int32(port), from: q.from})
+		h.depart(departure{round: int32(pr), port: int32(port), from: q.from, prev: h.top})
 	}
 	h.queue = stay
+}
+
+// depart appends dep to the exchange's departure log as this relay's latest
+// departure. A full log doubles: append's gentler growth for large slices
+// would copy a log of millions of entries several times more.
+func (h *routeHandler) depart(dep departure) {
+	log := h.log
+	if len(*log) == cap(*log) {
+		grown := make([]departure, len(*log), 2*cap(*log)+1024)
+		copy(grown, *log)
+		*log = grown
+	}
+	*log = append(*log, dep)
+	h.top = int32(len(*log) - 1)
+}
+
+// lazyStep draws one lazy-walk step over k ports from r: the token stays put
+// with probability 1/2, and otherwise moves through port index i, uniform
+// over [0, k). It draws exactly what r.Intn(2) and then r.Intn(k) would: for
+// these arguments Intn is Int31n, and Int31n(2) is Int31()&1.
+func lazyStep(r *rand.Rand, k int) (moved bool, i int) {
+	if r.Int31()&1 == 0 {
+		return false, 0
+	}
+	return true, int(r.Int31n(int32(k)))
 }
 
 func (h *routeHandler) leaderRespond(v *congest.Vertex) {
@@ -325,28 +361,30 @@ func (h *routeHandler) sendBack(tok Token, from arrival) {
 
 // handleReverseArrival pops the departure a reverse token arriving on port at
 // phase round pr undoes: the forward send at round 2T+2-pr on that port.
-// Reverse arrivals come in decreasing departure round, so departures above
-// that round belong to tokens that never came back and are discarded; at
-// most one departure per port shares a round, so the match scans at most
-// deg(v) entries.
+// Reverse arrivals come in decreasing departure round, so this relay's
+// departures above that round belong to tokens that never came back and are
+// discarded; at most one departure per port shares a round, so the match
+// follows at most deg(v) links. The top departure then takes the matched
+// one's place in the chain, keeping the chain in round order.
 func (h *routeHandler) handleReverseArrival(tok Token, port, pr int) {
 	d := int32(h.total - pr)
-	s := h.departures
-	top := len(s)
-	for top > 0 && s[top-1].round > d {
-		top--
+	log := *h.log
+	top := h.top
+	for top >= 0 && log[top].round > d {
+		top = log[top].prev
 	}
-	i := top - 1
-	for i >= 0 && s[i].round == d && s[i].port != int32(port) {
-		i--
+	i := top
+	for i >= 0 && log[i].round == d && log[i].port != int32(port) {
+		i = log[i].prev
 	}
-	if i < 0 || s[i].round != d {
+	if i < 0 || log[i].round != d {
 		panic(fmt.Sprintf("routing: reverse token (%d,%d) on port %d at phase round %d matches no departure",
 			tok.Origin, tok.Seq, port, pr))
 	}
-	from := s[i].from
-	s[i] = s[top-1]
-	h.departures = s[:top-1]
+	from := log[i].from
+	t := log[top]
+	log[i].round, log[i].port, log[i].from = t.round, t.port, t.from
+	h.top = t.prev
 	h.sendBack(tok, from)
 }
 
@@ -377,6 +415,12 @@ func Exchange(g *graph.Graph, cfg congest.Config, plan Plan, tokens [][]Token, r
 func ExchangeBatch(g *graph.Graph, cfg congest.Config, plan Plan, tokens [][]Token, respondBatch func(leader int, inbox []Token) [][2]int64) (*ExchangeResult, congest.Metrics, error) {
 	return exchange(g, cfg, plan, tokens, nil, respondBatch)
 }
+
+// departureLogs recycles departure logs between exchanges. A cold query's
+// exchange logs millions of departures; a recycled log starts at the
+// capacity an earlier exchange grew it to, so a stream of exchanges stops
+// regrowing one.
+var departureLogs = sync.Pool{New: func() any { return new([]departure) }}
 
 func exchange(g *graph.Graph, cfg congest.Config, plan Plan, tokens [][]Token, respond func(leader int, t Token) (int64, int64), respondBatch func(leader int, inbox []Token) [][2]int64) (*ExchangeResult, congest.Metrics, error) {
 	n := g.N()
@@ -411,15 +455,29 @@ func exchange(g *graph.Graph, cfg congest.Config, plan Plan, tokens [][]Token, r
 		return nil, congest.Metrics{}, fmt.Errorf("routing: exchange needs %d rounds for forward budget %d, over the %d-round limit: %w",
 			need, plan.ForwardRounds, limit, congest.ErrMaxRounds)
 	}
+	// All per-walk state is sized here, at setup. The handlers are one slab,
+	// and each vertex's port stamps and same-cluster ports are carved out of
+	// two flat arrays at its CSR offset; the token queue is seeded with the
+	// vertex's own tokens; every forward send appends to one departure log.
+	// The steady per-round path then only appends within amortized-grown
+	// buffers.
+	off, _ := g.AdjacencyCSR()
+	handlers := make([]routeHandler, n)
+	stamps := make([]int32, off[n])
+	same := make([]int32, off[n])
+	log := departureLogs.Get().(*[]departure)
+	*log = (*log)[:0]
+	defer departureLogs.Put(log)
 	e := sim.Start(func(v *congest.Vertex) congest.Handler {
-		// All per-walk state is sized here, at setup: the port stamps, the
-		// token queue (seeded with the vertex's own tokens), and the
-		// departure stack that the reverse phase retraces. The steady
-		// per-round path then only appends within amortized-grown buffers.
-		h := &routeHandler{
+		lo, hi := off[v.ID()], off[v.ID()+1]
+		h := &handlers[v.ID()]
+		*h = routeHandler{
 			plan:         &plan,
 			isLeader:     plan.Leader[v.ID()] == v.ID(),
-			portStamp:    make([]int, v.Degree()),
+			samePorts:    same[lo:lo:hi],
+			portStamp:    stamps[lo:hi:hi],
+			log:          log,
+			top:          -1,
 			respond:      respond,
 			respondBatch: respondBatch,
 			total:        total,
@@ -437,7 +495,6 @@ func exchange(g *graph.Graph, cfg congest.Config, plan Plan, tokens [][]Token, r
 				h.arrivals = append(h.arrivals, home)
 			}
 		} else {
-			h.departures = make([]departure, 0, 2*len(own)+2)
 			h.queue = make([]held, 0, len(own)+2)
 			for i, tok := range own {
 				tok.Origin = v.ID()

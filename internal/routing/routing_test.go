@@ -2,6 +2,7 @@ package routing
 
 import (
 	"errors"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -310,41 +311,76 @@ func TestExchangeFailsFastOverRoundLimit(t *testing.T) {
 	}
 }
 
-// The departure stack pops the one departure each reverse arrival undoes,
-// discards departures above it (their tokens never came back), and panics on
-// a reverse arrival that matches no departure.
+// A relay's chain in the departure log pops the one departure each reverse
+// arrival undoes, whether or not it is the chain's top, discards departures
+// above it (their tokens never came back), leaves other relays' departures
+// alone, and panics on a reverse arrival that matches no departure.
 func TestDepartureStackRetrace(t *testing.T) {
 	const total = 20 // T = 9
-	h := &routeHandler{total: total, departures: []departure{
-		{round: 3, port: 0, from: arrival{port: 5, round: 2}},
-		{round: 3, port: 1, from: arrival{port: -1}},
-		{round: 5, port: 0, from: arrival{port: 6, round: 4}},
-		{round: 7, port: 1, from: arrival{port: 7, round: 6}},
-		{round: 7, port: 0, from: arrival{port: 8, round: 5}},
-	}}
+	// Relay A's departures interleaved with relay B's, in send order.
+	log := []departure{
+		{round: 3, port: 0, from: arrival{port: 5, round: 2}, prev: -1}, // A
+		{round: 3, port: 2, from: arrival{port: 1, round: 1}, prev: -1}, // B
+		{round: 3, port: 1, from: arrival{port: -1}, prev: 0},           // A
+		{round: 5, port: 0, from: arrival{port: 6, round: 4}, prev: 2},  // A
+		{round: 6, port: 1, from: arrival{port: 0, round: 2}, prev: 1},  // B
+		{round: 7, port: 1, from: arrival{port: 7, round: 6}, prev: 3},  // A
+		{round: 7, port: 0, from: arrival{port: 8, round: 5}, prev: 5},  // A
+	}
+	relayB := []departure{log[1], log[4]}
+	h := &routeHandler{total: total, log: &log, top: 6}
 	// A departure at round d returns at phase round total-d on its port.
-	h.handleReverseArrival(Token{Seq: 1}, 0, total-7)
-	h.handleReverseArrival(Token{Seq: 2}, 1, total-3) // drops (7,1) and (5,0)
-	h.handleReverseArrival(Token{Seq: 3}, 0, total-3)
+	h.handleReverseArrival(Token{Seq: 1}, 1, total-7) // below the top: (7,0) takes its slot
+	h.handleReverseArrival(Token{Seq: 2}, 0, total-7)
+	h.handleReverseArrival(Token{Seq: 3}, 1, total-3) // drops (5,0)
+	h.handleReverseArrival(Token{Seq: 4}, 0, total-3)
 	want := []pendingSend{
-		{round: total - 5, port: 8, tok: Token{Seq: 1}},
-		{round: total - 2, port: 5, tok: Token{Seq: 3}},
+		{round: total - 6, port: 7, tok: Token{Seq: 1}},
+		{round: total - 5, port: 8, tok: Token{Seq: 2}},
+		{round: total - 2, port: 5, tok: Token{Seq: 4}},
 	}
 	if !slices.Equal(h.reverse, want) {
 		t.Errorf("reverse sends %+v, want %+v", h.reverse, want)
 	}
-	if len(h.responses) != 1 || h.responses[0].Seq != 2 {
+	if len(h.responses) != 1 || h.responses[0].Seq != 3 {
 		t.Errorf("responses %+v, want the token that started here", h.responses)
 	}
-	if len(h.departures) != 0 {
-		t.Errorf("%d departures left, want 0", len(h.departures))
+	if h.top != -1 {
+		t.Errorf("chain top %d after every departure returned, want -1", h.top)
+	}
+	if got := []departure{log[1], log[4]}; !slices.Equal(got, relayB) {
+		t.Errorf("another relay's departures changed: %+v, want %+v", got, relayB)
 	}
 
-	h.departures = []departure{{round: 7, port: 0}}
+	log = []departure{{round: 7, port: 0, prev: -1}}
+	h.top = 0
 	defer func() {
 		if recover() == nil {
 			t.Error("a reverse arrival on a port no departure used did not panic")
 		}
 	}()
 	h.handleReverseArrival(Token{}, 1, total-7)
+}
+
+// lazyStep draws the same coins and ports, from the same stream position, as
+// the Intn(2) and Intn(k) calls it replaces.
+func TestLazyStepMatchesIntn(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		for k := 1; k <= 40; k++ {
+			got := rand.New(rand.NewSource(seed))
+			want := rand.New(rand.NewSource(seed))
+			for step := 0; step < 200; step++ {
+				moved, i := lazyStep(got, k)
+				wantMoved := want.Intn(2) != 0
+				wantI := 0
+				if wantMoved {
+					wantI = want.Intn(k)
+				}
+				if moved != wantMoved || i != wantI {
+					t.Fatalf("seed %d, k %d, step %d: lazyStep (%t, %d), Intn (%t, %d)",
+						seed, k, step, moved, i, wantMoved, wantI)
+				}
+			}
+		}
+	}
 }
