@@ -110,8 +110,11 @@ func (g *Graph) InduceFiltered(verts []int, dropEdge func(edgeIdx int) bool) *Vi
 	}
 	// Pass 2: collect the kept base edge indices (canonical local order —
 	// identical to ascending base index order, since toOld is monotone) and
-	// accumulate local degrees into the offset array.
+	// their local endpoints, and accumulate local degrees into the offset
+	// array. A kept edge has U = toOld[i] < V = toOld[j], so its endpoints
+	// are (i, j).
 	s.gedge = make([]int32, 0, kept)
+	ends := make([][2]int32, 0, kept)
 	s.voff = make([]int32, k+1)
 	for i := 0; i < k; i++ {
 		v := toOld[i]
@@ -128,6 +131,7 @@ func (g *Graph) InduceFiltered(verts []int, dropEdge func(edgeIdx int) bool) *Vi
 				continue
 			}
 			s.gedge = append(s.gedge, g.adjIdx[a])
+			ends = append(ends, [2]int32{int32(i), int32(j)})
 			s.voff[i+1]++
 			s.voff[j+1]++
 		}
@@ -141,14 +145,12 @@ func (g *Graph) InduceFiltered(verts []int, dropEdge func(edgeIdx int) bool) *Vi
 	s.vidx = make([]int32, 2*kept)
 	cursor := make([]int32, k)
 	copy(cursor, s.voff[:k])
-	for localIdx, gi := range s.gedge {
-		e := g.edges[gi]
-		li := localOf(toOld, int32(e.U))
-		lj := localOf(toOld, int32(e.V))
-		s.vto[cursor[li]] = int32(lj)
+	for localIdx, e := range ends {
+		li, lj := e[0], e[1]
+		s.vto[cursor[li]] = lj
 		s.vidx[cursor[li]] = int32(localIdx)
 		cursor[li]++
-		s.vto[cursor[lj]] = int32(li)
+		s.vto[cursor[lj]] = li
 		s.vidx[cursor[lj]] = int32(localIdx)
 		cursor[lj]++
 	}
