@@ -97,7 +97,8 @@ func BenchmarkDecomposeSpeedup(b *testing.B) {
 }
 
 // speedupGate times body at 1 worker and at the gate's worker count for
-// this host as sub-benchmarks, and fails below the bound.
+// this host as sub-benchmarks, and fails below the bound. The second point
+// reports the speedup and its bound as metrics, so every run prints them.
 func speedupGate(b *testing.B, body func(workers int) func(*testing.B)) {
 	workers, want := 2, 1.15
 	switch cpus := runtime.NumCPU(); {
@@ -113,6 +114,10 @@ func speedupGate(b *testing.B, body func(workers int) func(*testing.B)) {
 		ok := b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			body(w)(b)
 			elapsed[i], nsPerOp[i] = b.Elapsed(), float64(b.Elapsed())/float64(b.N)
+			if i == 1 {
+				b.ReportMetric(nsPerOp[0]/nsPerOp[1], "speedup")
+				b.ReportMetric(want, "want-speedup")
+			}
 		})
 		if !ok {
 			b.Fatalf("the %d-worker point failed", w)
