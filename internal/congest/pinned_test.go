@@ -102,9 +102,11 @@ func faultyBroadcast(v *congest.Vertex) congest.Handler {
 	}
 }
 
-// simCase runs newHandler on g under cfg and returns the outputs to hash.
-func simCase(g *graph.Graph, cfg congest.Config, newHandler func(v *congest.Vertex) congest.Handler) func() (any, congest.Metrics, error) {
-	return func() (any, congest.Metrics, error) {
+// simCase runs newHandler on g under cfg, reporting into obs, and returns
+// the outputs to hash.
+func simCase(g *graph.Graph, cfg congest.Config, newHandler func(v *congest.Vertex) congest.Handler) func(obs *congest.Observer) (any, congest.Metrics, error) {
+	return func(obs *congest.Observer) (any, congest.Metrics, error) {
+		cfg.Obs = obs
 		res, err := congest.NewSimulator(g, cfg).Run(newHandler)
 		return res.Outputs, res.Metrics, err
 	}
@@ -117,26 +119,33 @@ func simCase(g *graph.Graph, cfg congest.Config, newHandler func(v *congest.Vert
 // schedule. The values were captured before Send queued straight onto the
 // receivers' pending lists, from a simulator whose sequential and sharded
 // executors agreed on every case.
+//
+// Each case then runs again with a tracing Observer, and the FNV-64a hash of
+// its JSONL trace is pinned too. Outputs and Metrics cannot tell whether a
+// no-op sleeper stepped once too often or once too few; the trace's
+// per-round active count can. The trace hashes were captured from the
+// scheduler that kept an awake list beside each round's wakes.
 func TestPinnedWorkloads(t *testing.T) {
 	grid32 := graph.Grid(32, 32)
 	cases := []struct {
-		name string
-		run  func() (any, congest.Metrics, error)
-		want congest.Metrics
-		hash uint64
+		name  string
+		run   func(obs *congest.Observer) (any, congest.Metrics, error)
+		want  congest.Metrics
+		hash  uint64
+		trace uint64
 	}{
 		{"sleepyFlood-grid12x12", simCase(graph.Grid(12, 12), congest.Config{Seed: 17}, sleepyFlood),
-			congest.Metrics{Rounds: 36, Messages: 528, Words: 528, MaxWordsPerMsg: 1}, 0xfa9997742a38f1e},
+			congest.Metrics{Rounds: 36, Messages: 528, Words: 528, MaxWordsPerMsg: 1}, 0xfa9997742a38f1e, 0x2d7f304513edd4d7},
 		{"hubAggregate-star257", simCase(starWithTail(257), congest.Config{Seed: 9}, hubAggregate),
-			congest.Metrics{Rounds: 6, Messages: 2816, Words: 2816, MaxWordsPerMsg: 1}, 0x4201447efbef7e7f},
+			congest.Metrics{Rounds: 6, Messages: 2816, Words: 2816, MaxWordsPerMsg: 1}, 0x4201447efbef7e7f, 0xc37d1c34db826970},
 		{"sleepyBroadcast-star129-faults", simCase(starWithTail(129), congest.Config{Seed: 31, FaultRate: 0.15, MaxRounds: 128}, sleepyBroadcast),
-			congest.Metrics{Rounds: 10, Messages: 4972, Words: 4972, MaxWordsPerMsg: 1}, 0x5848dd4719dd301e},
+			congest.Metrics{Rounds: 10, Messages: 4972, Words: 4972, MaxWordsPerMsg: 1}, 0x5848dd4719dd301e, 0x169dae07ce6e1048},
 		{"faultyBroadcast-grid16x16", simCase(graph.Grid(16, 16), congest.Config{Seed: 5, FaultRate: 0.2, MaxRounds: 64}, faultyBroadcast),
-			congest.Metrics{Rounds: 8, Messages: 7680, Words: 7680, MaxWordsPerMsg: 1}, 0x4d87f38658f9c40b},
-		{"luby-grid32x32", func() (any, congest.Metrics, error) {
-			return maxis.LubyMIS(grid32, congest.Config{Seed: 7})
-		}, congest.Metrics{Rounds: 10, Messages: 7626, Words: 19898, MaxWordsPerMsg: 3}, 0x9bad3cdf717e294a},
-		{"exchange-grid32x32", func() (any, congest.Metrics, error) {
+			congest.Metrics{Rounds: 8, Messages: 7680, Words: 7680, MaxWordsPerMsg: 1}, 0x4d87f38658f9c40b, 0xd63c4f2e761f39f8},
+		{"luby-grid32x32", func(obs *congest.Observer) (any, congest.Metrics, error) {
+			return maxis.LubyMIS(grid32, congest.Config{Seed: 7, Obs: obs})
+		}, congest.Metrics{Rounds: 10, Messages: 7626, Words: 19898, MaxWordsPerMsg: 3}, 0x9bad3cdf717e294a, 0xfaecc1fa8cccdc21},
+		{"exchange-grid32x32", func(obs *congest.Observer) (any, congest.Metrics, error) {
 			tokens := make([][]routing.Token, grid32.N())
 			for v := range tokens {
 				tokens[v] = []routing.Token{{A: int64(v), B: int64(v % 7)}}
@@ -147,24 +156,38 @@ func TestPinnedWorkloads(t *testing.T) {
 				ForwardRounds: 3000,
 				Strategy:      routing.RandomWalk,
 			}
-			res, m, err := routing.Exchange(grid32, congest.Config{Seed: 11}, plan, tokens,
+			res, m, err := routing.Exchange(grid32, congest.Config{Seed: 11, Obs: obs}, plan, tokens,
 				func(leader int, tok routing.Token) (int64, int64) { return tok.A + 1, tok.B })
 			if err != nil {
 				return nil, m, err
 			}
 			return *res, m, nil
-		}, congest.Metrics{Rounds: 6003, Messages: 1443280, Words: 7200528, MaxWordsPerMsg: 5}, 0xd3a93a516f609f57},
+		}, congest.Metrics{Rounds: 6003, Messages: 1443280, Words: 7200528, MaxWordsPerMsg: 5}, 0xd3a93a516f609f57, 0xc2663a129eb045c1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out, m, err := tc.run()
-			if err != nil {
+			check := func(obs *congest.Observer) {
+				t.Helper()
+				out, m, err := tc.run(obs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := fnv.New64a()
+				fmt.Fprint(h, out)
+				if m != tc.want || h.Sum64() != tc.hash {
+					t.Errorf("metrics %+v hash %#x, want %+v hash %#x", m, h.Sum64(), tc.want, tc.hash)
+				}
+			}
+			check(nil)
+			obs := congest.NewObserver()
+			trace := fnv.New64a()
+			obs.EnableTrace(trace, 0)
+			check(obs)
+			if err := obs.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			h := fnv.New64a()
-			fmt.Fprint(h, out)
-			if m != tc.want || h.Sum64() != tc.hash {
-				t.Errorf("metrics %+v hash %#x, want %+v hash %#x", m, h.Sum64(), tc.want, tc.hash)
+			if got := trace.Sum64(); got != tc.trace {
+				t.Errorf("trace hash %#x, want %#x", got, tc.trace)
 			}
 		})
 	}
