@@ -45,3 +45,27 @@ func BenchmarkInducedSubgraphCopy(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDiameterOf measures the exact diameter on two of the benchmark
+// fixtures, built with the same generator calls: er800 (G(n, p) with mean
+// degree 6, the serve smoke graph) and planar20k (a random planar graph).
+func BenchmarkDiameterOf(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		gen  func() *Graph
+	}{
+		{"er800", func() *Graph { return ErdosRenyiStream(800, 6.0/800, 11, 0) }},
+		{"planar20k", func() *Graph { return RandomPlanarStream(20000, 0.6, rand.New(rand.NewSource(3)), 0) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			g := bc.gen()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if DiameterOf(g) <= 0 {
+					b.Fatal("non-positive diameter")
+				}
+			}
+		})
+	}
+}
