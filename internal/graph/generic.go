@@ -1,5 +1,7 @@
 package graph
 
+import "math"
+
 // This file holds the traversal and aggregate helpers that run on any G —
 // a materialized *Graph or a zero-copy *View — so the decomposition stack
 // can recurse on views without materializing a subgraph per level. Outputs
@@ -56,16 +58,99 @@ func EccentricityOf(g G, src int) int {
 	return ecc
 }
 
-// DiameterOf returns the exact diameter of g (the maximum eccentricity over
-// all vertices), treating each connected component separately and returning
-// the largest value. It runs a BFS per vertex, so it is intended for the
-// modest graph sizes used in experiments. An empty graph has diameter 0.
+// DiameterOf returns the exact diameter of g: the largest eccentricity in
+// any of its connected components. An empty graph has diameter 0.
+//
+// Each component runs BoundingDiameters (Takes and Kosters 2011), which
+// keeps a lower and an upper eccentricity bound per vertex and tightens
+// them with one BFS at a time, so it usually settles the diameter after a
+// handful of BFSs. A BFS from v with eccentricity e bounds every w in its
+// component by max(e−d, d) ≤ ecc(w) ≤ e+d, where d = dist(v, w). Sources
+// alternate between the candidate with the largest upper bound and the one
+// with the smallest lower bound. A candidate leaves once its bounds meet,
+// or once neither its eccentricity nor twice it can move the diameter's
+// bounds. Every dropped vertex has eccentricity at most the lower bound ΔL,
+// so the largest upper bound among the remaining candidates bounds the
+// diameter from above.
 func DiameterOf(g G) int {
-	diam := 0
-	for v := 0; v < g.N(); v++ {
-		if ecc := EccentricityOf(g, v); ecc > diam {
-			diam = ecc
+	n := g.N()
+	dist := make([]int32, n)
+	lo := make([]int32, n) // lower eccentricity bound; -1 until v's component is reached
+	hi := make([]int32, n) // upper eccentricity bound
+	for v := range dist {
+		dist[v], lo[v] = -1, -1
+	}
+	queue := make([]int32, 0, n)
+	cand := make([]int32, 0, n)
+	// bfs fills dist over src's component, leaves the component in queue in
+	// BFS order, and returns src's eccentricity. The caller resets dist.
+	var cur int32
+	visit := func(u, _ int) {
+		if dist[u] < 0 {
+			dist[u] = dist[cur] + 1
+			queue = append(queue, int32(u))
 		}
+	}
+	bfs := func(src int32) int {
+		queue = append(queue[:0], src)
+		dist[src] = 0
+		for head := 0; head < len(queue); head++ {
+			cur = queue[head]
+			g.ForEachNeighbor(int(cur), visit)
+		}
+		return int(dist[queue[len(queue)-1]])
+	}
+	diam := 0
+	for s := 0; s < n; s++ {
+		if lo[s] >= 0 {
+			continue
+		}
+		// The component's first BFS, from its smallest vertex, also lists
+		// its members, every one a candidate with unknown bounds.
+		ecc := bfs(int32(s))
+		cand = append(cand[:0], queue...)
+		for _, w := range cand {
+			lo[w], hi[w] = 0, math.MaxInt32
+		}
+		dL, dU := 0, math.MaxInt32
+		high := false // the first source stood for a largest-upper-bound pick
+		for {
+			dL, dU = max(dL, ecc), min(dU, 2*ecc)
+			for _, w := range cand {
+				d := dist[w]
+				lo[w] = max(lo[w], int32(ecc)-d, d)
+				hi[w] = min(hi[w], int32(ecc)+d)
+				dL = max(dL, int(lo[w]))
+			}
+			for _, w := range queue {
+				dist[w] = -1
+			}
+			k, top := 0, dL
+			for _, w := range cand {
+				l, h := int(lo[w]), int(hi[w])
+				if l == h || (h <= dL && 2*l >= dU) {
+					continue
+				}
+				cand[k], k = w, k+1
+				top = max(top, h)
+			}
+			cand = cand[:k]
+			dU = min(dU, top)
+			// A component whose upper bound cannot beat an earlier
+			// component's diameter is settled too.
+			if dL >= dU || dU <= diam {
+				break
+			}
+			src := cand[0]
+			for _, w := range cand[1:] {
+				if high && hi[w] > hi[src] || !high && lo[w] < lo[src] {
+					src = w
+				}
+			}
+			high = !high
+			ecc = bfs(src)
+		}
+		diam = max(diam, dL)
 	}
 	return diam
 }

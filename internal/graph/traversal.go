@@ -11,8 +11,8 @@ func (g *Graph) Eccentricity(src int) int { return EccentricityOf(g, src) }
 
 // Diameter returns the exact diameter of g (the maximum eccentricity over all
 // vertices), treating each connected component separately and returning the
-// largest value. It runs a BFS per vertex, so it is intended for the modest
-// graph sizes used in experiments. An empty graph has diameter 0.
+// largest value. It bounds eccentricities (see DiameterOf), so it usually
+// needs a handful of BFSs. An empty graph has diameter 0.
 func (g *Graph) Diameter() int { return DiameterOf(g) }
 
 // Connected reports whether g is connected. The empty graph and singletons
