@@ -4,22 +4,24 @@
 // / MIS / clustering / walk-routing queries over HTTP against that cached
 // snapshot, with an admission-controlled run pool, request coalescing,
 // per-(epoch, params) encoded-response caching under a byte-capped LRU,
-// hot snapshot swap via POST /reload, and graceful shutdown. When the
-// admission queue is full, new canonical work is rejected with
-// 429 + Retry-After; cache hits and coalesced followers are never rejected.
+// hot snapshot swap via POST /reload and POST /mutate, and graceful
+// shutdown. When the admission queue is full, new canonical work is rejected
+// with 429 + Retry-After; cache hits and coalesced followers are never
+// rejected.
 //
 // Usage:
 //
 //	expandersvc -graph er.bin [-mmap] [-addr :8080] [-eps 0.3] [-seed 1]
-//	            [-decworkers 4] [-simworkers 0] [-batchwindow 2ms]
-//	            [-runpool 0] [-queuedepth 0] [-cachebytes 268435456]
-//	            [-pprof] [-shutdowntimeout 10s]
+//	            [-decworkers 1] [-batchwindow 2ms] [-runpool 0]
+//	            [-queuedepth 0] [-cachebytes 268435456] [-pprof]
+//	            [-shutdowntimeout 10s]
 //
 // Endpoints (full schemas in API.md):
 //
 //	GET  /healthz          liveness + current epoch
 //	GET  /statz            snapshot, cache, pool, batching and per-family counters
 //	POST /reload           build a new snapshot off to the side and swap it in
+//	POST /mutate           apply an edge/vertex op batch, re-decompose incrementally, swap
 //	POST /query/matching   approximate maximum weight matching
 //	POST /query/mis        approximate maximum independent set
 //	POST /query/clustering low-diameter clustering
