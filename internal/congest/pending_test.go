@@ -78,26 +78,46 @@ func TestInboxAscendingBySender(t *testing.T) {
 }
 
 // TestRunAfterFailedRun reuses a Simulator whose previous run stopped at
-// MaxRounds with messages still queued: the next run must match a fresh
-// Simulator's exactly, so nothing the failed run left in the pending lists
-// survives Start.
+// MaxRounds with messages still queued and every vertex still scheduled for
+// the next round: the next run must match a fresh Simulator's exactly, so
+// nothing the failed run left in the inboxes or the schedule survives Start.
+// One follow-up sends every round; the other sleeps from Init to round 3, so
+// a vertex stepped early by a stale schedule shows in its output.
 func TestRunAfterFailedRun(t *testing.T) {
 	g := graph.ErdosRenyi(80, 0.1, rand.New(rand.NewSource(8)))
 	cfg := congest.Config{Seed: 2, MaxRounds: 3}
-	reused := congest.NewSimulator(g, cfg)
-	if _, err := reused.Run(func(v *congest.Vertex) congest.Handler { return &descendingSender{last: 6} }); err == nil {
-		t.Fatal("a 6-round run finished under MaxRounds 3")
+	followUps := []struct {
+		name       string
+		newHandler func(v *congest.Vertex) congest.Handler
+	}{
+		{"short", func(v *congest.Vertex) congest.Handler { return &descendingSender{last: 2} }},
+		{"sleeper", func(v *congest.Vertex) congest.Handler {
+			var stepped []int
+			return congest.RunFuncs{
+				InitFn: func(v *congest.Vertex) { v.SleepUntil(3) },
+				RoundFn: func(v *congest.Vertex, round int, _ []congest.Incoming) {
+					stepped = append(stepped, round)
+					v.SetOutput(stepped)
+					v.Halt()
+				},
+			}
+		}},
 	}
-	short := func(v *congest.Vertex) congest.Handler { return &descendingSender{last: 2} }
-	got, err := reused.Run(short)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := congest.NewSimulator(g, cfg).Run(short)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("run after a failed run differs from a fresh simulator's:\n%+v\n%+v", got.Metrics, want.Metrics)
+	for _, f := range followUps {
+		reused := congest.NewSimulator(g, cfg)
+		if _, err := reused.Run(func(v *congest.Vertex) congest.Handler { return &descendingSender{last: 6} }); err == nil {
+			t.Fatal("a 6-round run finished under MaxRounds 3")
+		}
+		got, err := reused.Run(f.newHandler)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		want, err := congest.NewSimulator(g, cfg).Run(f.newHandler)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: run after a failed run differs from a fresh simulator's:\n%+v\n%+v", f.name, got.Metrics, want.Metrics)
+		}
 	}
 }
