@@ -26,8 +26,9 @@
 // ascending ID order. Send delivers at once: it stamps the port with the
 // delivery round, adds the message's costs to the run's Metrics, draws its
 // fault coin, and writes a surviving message straight into the receiver's
-// inbox for the next round. Halt counts toward termination at once, so the
-// round barrier only rebuilds the scheduler's worklists. Stepping in
+// inbox for the next round. Halt counts toward termination at once, and each
+// vertex joins the next round's schedule as its call returns, so the round
+// barrier only adds the due timers and reads the schedule out. Stepping in
 // ascending ID order keeps every inbox ascending by sender, which is the
 // canonical inbox order.
 //
@@ -88,16 +89,17 @@
 //	v.Sleep()        // skip me until a message arrives
 //	v.SleepUntil(r)  // skip me until round r, or until a message arrives
 //
-// The simulator then schedules each round over worklists of awake, woken,
-// and message-receiving vertices, so a round costs O(stepped + messages)
-// instead of O(n + m). Sleeping is an optimization hint with exact
-// semantics: rounds are still counted, message delivery, ordering, fault
-// coins, and PRNG streams are unchanged, and results are bit-identical to
-// the dense schedule (the golden tests pin this). A message dropped by
-// fault injection does not wake its receiver. Halt dominates sleep, and a
-// vertex woken by a timer with no fresh delivery sees an empty recv slice —
-// never its stale inbox. If every non-halted vertex sleeps with no pending
-// message or timer, the run fails fast with ErrDeadlock.
+// The simulator then schedules each round from one set of next-round
+// candidates: the vertices still awake after their last call, the receivers
+// of a message, and the sleepers whose timer is due. A round costs
+// O(stepped + messages) instead of O(n + m). Sleeping is an optimization
+// hint with exact semantics: rounds are still counted, message delivery,
+// ordering, fault coins, and PRNG streams are unchanged, and results are
+// bit-identical to the dense schedule (the golden tests pin this). A message
+// dropped by fault injection does not wake its receiver. Halt dominates
+// sleep, and a vertex woken by a timer with no fresh delivery sees an empty
+// recv slice — never its stale inbox. If every non-halted vertex sleeps with
+// no pending message or timer, the run fails fast with ErrDeadlock.
 //
 // # Observability
 //
