@@ -63,17 +63,6 @@ type Verdict struct {
 	Solution *core.Solution
 }
 
-// RejectionsByReason tallies rejecting clusters per reason.
-func (v *Verdict) RejectionsByReason() map[RejectReason]int {
-	out := make(map[RejectReason]int)
-	for _, r := range v.ClusterReasons {
-		if r != AcceptedCluster {
-			out[r]++
-		}
-	}
-	return out
-}
-
 // Test runs the distributed property tester for p on g.
 func Test(g *graph.Graph, p minor.Property, opts Options) (*Verdict, error) {
 	if opts.Eps <= 0 || opts.Eps >= 1 {

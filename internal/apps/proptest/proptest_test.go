@@ -115,7 +115,12 @@ func TestVerdictReasonsPropertyViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tally := v.RejectionsByReason()
+	tally := make(map[RejectReason]int)
+	for _, r := range v.ClusterReasons {
+		if r != AcceptedCluster {
+			tally[r]++
+		}
+	}
 	if tally[PropertyViolation] == 0 {
 		t.Errorf("expected property-violation rejections, got %v", tally)
 	}

@@ -140,12 +140,11 @@ type Vertex struct {
 	sim       *Simulator
 	id        int
 	ports     []int32 // neighbor IDs by port, ascending (view into flat array)
-	wakeAt    int     // absolute round of the pending SleepUntil timer; 0 = none
+	wakeAt    int     // absolute round of the pending SleepUntil timer; 0 = awake
 	rng       *rand.Rand
 	output    any
 	base      int32 // off[id]: port p is flat slot base+p
 	halted    bool
-	asleep    bool // quiescent: skipped by the scheduler until woken
 	rngSeeded bool // lazily (re)seeded on first Rand() per execution
 }
 
@@ -345,48 +344,28 @@ func (v *Vertex) Halt() {
 	}
 }
 
-// Halted reports whether the vertex halted.
-func (v *Vertex) Halted() bool { return v.halted }
-
-// Sleep declares quiescence: the vertex stops receiving Round calls until a
-// message arrives on any of its ports, at which point it is re-woken
-// automatically (in the round the message is delivered, with that message in
-// recv). A message dropped by fault injection does not wake the vertex —
-// wakes are decided after the fault filter, so sleeping never changes what a
-// vertex observes. Sleeping is only legal when the handler would otherwise do
-// nothing observable in the skipped rounds: no sends, no Rand() draws, no
-// state changes (see DESIGN.md §3.10). Sends from the current round are
-// still delivered. Sleep cancels a pending SleepUntil timer and is a
-// no-op on a halted vertex. Unlike Halt, Sleep is reversible and does not
-// count toward termination: a run in which every non-halted vertex sleeps
-// forever with no pending messages or timers fails with ErrDeadlock rather
-// than spinning to MaxRounds.
-func (v *Vertex) Sleep() {
-	if v.halted {
-		return
-	}
-	v.asleep = true
-	v.wakeAt = 0
-}
-
-// SleepUntil is Sleep with a self-wake timer: the vertex sleeps and is
-// re-woken in the given absolute round (as passed to Round) even if no
-// message arrives first; a message still wakes it early, canceling the
-// timer. It is the tool for algorithms that count rounds while idle — a
-// fixed-schedule phase can sleep through its idle stretch and wake exactly
-// on its next scheduled round. A round at or before the next round is a
-// no-op (the vertex simply stays awake), as is calling it on a halted
-// vertex.
+// SleepUntil declares quiescence until the given absolute round (as passed
+// to Round): the vertex stops receiving Round calls until that round, or
+// until a message arrives on any of its ports, whichever comes first. A
+// message wakes it in the round the message is delivered, with that message
+// in recv, and cancels the timer. A message dropped by fault injection does
+// not wake the vertex: wakes are decided after the fault filter, so sleeping
+// never changes what a vertex observes. It is the simulator's one sleep
+// primitive, made for the fixed schedules of the paper's phases: a vertex
+// sleeps through its idle stretch and wakes exactly on its next scheduled
+// round, and a round past the run's end waits for a message alone.
+// Sleeping is only legal when the handler would otherwise do nothing
+// observable in the skipped rounds: no sends, no Rand() draws, no state
+// changes (see DESIGN.md §3.10). Sends from the current round are still
+// delivered. Unlike Halt, sleeping does not count toward termination. A
+// round at or before the next round is a no-op (the vertex simply stays
+// awake), as is calling it on a halted vertex.
 func (v *Vertex) SleepUntil(round int) {
 	if v.halted || round <= v.sim.curRound+1 {
 		return
 	}
-	v.asleep = true
 	v.wakeAt = round
 }
-
-// Asleep reports whether the vertex is currently sleeping.
-func (v *Vertex) Asleep() bool { return v.asleep }
 
 // SetOutput records the vertex's final output, retrievable from Result.
 func (v *Vertex) SetOutput(out any) { v.output = out }
@@ -447,13 +426,6 @@ type Result struct {
 // ErrMaxRounds is returned when a run exceeds Config.MaxRounds.
 var ErrMaxRounds = errors.New("congest: exceeded maximum rounds without termination")
 
-// ErrDeadlock is returned when no vertex can ever step again — every
-// non-halted vertex is asleep with no messages in flight and no SleepUntil
-// timer pending — yet the run has not terminated. This is always an
-// algorithm bug (a Sleep with no possible wake); the sparse scheduler
-// detects it in O(1) instead of spinning empty rounds to MaxRounds.
-var ErrDeadlock = errors.New("congest: all non-halted vertices asleep with no pending messages or timers")
-
 // Simulator executes distributed algorithms on a fixed graph.
 //
 // The CSR vertex layout and all per-run buffers are cached on the Simulator
@@ -509,10 +481,9 @@ type Simulator struct {
 	// Sparse activation scheduler (sched.go, DESIGN.md §3.10), preallocated
 	// by buildLayout, keeping the steady-state round loop allocation-free
 	// while costing O(stepped + messages) per round instead of O(n + m).
-	stepList  []int32   // vertices stepped this round, ascending
-	next      idSet     // candidates for the next round, read out in ID order
-	awakeNext int       // vertices that settled awake this round (deadlock check)
-	timers    timerHeap // pending SleepUntil wakes, one entry per vertex
+	stepList []int32   // vertices stepped this round, ascending
+	next     idSet     // candidates for the next round, read out in ID order
+	timers   timerHeap // pending SleepUntil wakes, one entry per vertex
 }
 
 // NewSimulator returns a Simulator for g under cfg.
@@ -524,10 +495,6 @@ func NewSimulator(g *graph.Graph, cfg Config) *Simulator {
 	}
 	return &Simulator{g: g, cfg: cfg, wordCap: wordCap, obs: cfg.Obs, wordBits: BitsPerWord(g.N())}
 }
-
-// Graph returns the underlying network graph (for harness code; handlers
-// never see it).
-func (s *Simulator) Graph() *graph.Graph { return s.g }
 
 // Config returns the effective configuration.
 func (s *Simulator) Config() Config { return s.cfg }
@@ -645,7 +612,6 @@ func (s *Simulator) Start(newHandler func(v *Vertex) Handler) *Execution {
 	for i := range s.verts {
 		v := &s.verts[i]
 		v.halted = false
-		v.asleep = false
 		v.wakeAt = 0
 		v.output = nil
 		// Marking the rng stale is enough: Rand() reseeds on first use, so
@@ -675,15 +641,12 @@ func (s *Simulator) Start(newHandler func(v *Vertex) Handler) *Execution {
 // set as its call returns. The round's messages were delivered as they were
 // sent. It reports done=true (without executing anything) once every
 // vertex has halted and every message sent has been delivered — an O(1)
-// check against the running counters — ErrDeadlock when no vertex can ever
-// step again, and ErrMaxRounds when the round budget is exhausted.
+// check against the running counters — and ErrMaxRounds when the round
+// budget is exhausted.
 func (e *Execution) Step() (done bool, err error) {
 	s := e.s
 	if s.haltedCount == s.g.N() && s.pendingMsgs == 0 {
 		return true, nil
-	}
-	if s.awakeNext == 0 && s.pendingMsgs == 0 && len(s.timers.h) == 0 {
-		return false, fmt.Errorf("%w (%d of %d vertices halted)", ErrDeadlock, s.haltedCount, s.g.N())
 	}
 	round := e.round + 1
 	if round > s.cfg.MaxRounds {
@@ -694,7 +657,6 @@ func (e *Execution) Step() (done bool, err error) {
 	s.metrics.Rounds++
 	s.assembleStepList(round)
 	s.pendingMsgs = 0
-	s.awakeNext = 0
 	in := &s.inboxes[round&1]
 	for _, id := range s.stepList {
 		v := &s.verts[id]

@@ -84,11 +84,12 @@
 //
 // A handler that can prove its vertex does nothing for a while — sends
 // nothing, draws no randomness, changes no externally visible state — may
-// declare quiescence (DESIGN.md §3.10):
+// declare quiescence with the one sleep primitive (DESIGN.md §3.10):
 //
-//	v.Sleep()        // skip me until a message arrives
 //	v.SleepUntil(r)  // skip me until round r, or until a message arrives
 //
+// The paper's phases run schedules fixed in advance, so every handler knows
+// the round it next has work in; a far-off r waits for a message alone.
 // The simulator then schedules each round from one set of next-round
 // candidates: the vertices still awake after their last call, the receivers
 // of a message, and the sleepers whose timer is due. A round costs
@@ -98,8 +99,7 @@
 // bit-identical to the dense schedule (the golden tests pin this). A message
 // dropped by fault injection does not wake its receiver. Halt dominates
 // sleep, and a vertex woken by a timer with no fresh delivery sees an empty
-// recv slice — never its stale inbox. If every non-halted vertex sleeps with
-// no pending message or timer, the run fails fast with ErrDeadlock.
+// recv slice — never its stale inbox.
 //
 // # Observability
 //

@@ -157,9 +157,9 @@ func TestFaultsStillCountAsSent(t *testing.T) {
 }
 
 // TestAllDroppedRoundStillRuns halts every vertex right after a broadcast
-// that fault injection drops entirely. No message reaches an inbox, yet the
-// messages were sent: the run must execute (and count) their delivery round
-// and finish, not fail with ErrDeadlock.
+// that fault injection drops entirely. No message reaches an inbox and no
+// vertex is scheduled, yet the messages were sent: the run must execute
+// (and count) their delivery round before it finishes.
 func TestAllDroppedRoundStillRuns(t *testing.T) {
 	g := graph.Path(4)
 	sim := NewSimulator(g, Config{Seed: 1, FaultRate: 1})

@@ -161,7 +161,19 @@ func TestPinnedWorkloads(t *testing.T) {
 			if err != nil {
 				return nil, m, err
 			}
-			return *res, m, nil
+			// The pinned hash prints the result beside each leader's token
+			// load, counted from the responses and the plan's leaders.
+			load := make(map[int]int)
+			for v, resp := range res.Responses {
+				if resp != nil {
+					load[plan.Leader[v]] += len(resp)
+				}
+			}
+			return struct {
+				Responses              [][]routing.Token
+				Delivered, Undelivered int
+				LeaderLoad             map[int]int
+			}{res.Responses, res.Delivered, res.Undelivered, load}, m, nil
 		}, congest.Metrics{Rounds: 6003, Messages: 1443280, Words: 7200528, MaxWordsPerMsg: 5}, 0xd3a93a516f609f57, 0xc2663a129eb045c1},
 	}
 	for _, tc := range cases {

@@ -11,12 +11,12 @@ import "math/bits"
 //   - Send marks a receiver when the first message to it survives the fault
 //     filter, so a dropped message wakes no one.
 //   - Right after a vertex's Init or Round call returns, settle marks it if
-//     it is still awake. A sleeper with a SleepUntil timer arms or moves its
-//     one timer-heap entry instead; a halted vertex is left out.
+//     it is still awake. A sleeper (wakeAt > 0) arms or moves its one
+//     timer-heap entry instead; a halted vertex is left out.
 //   - The barrier marks the sleepers whose timer is due.
 //
 // The barrier then reads next out in ascending ID order into stepList,
-// dropping halted vertices and clearing asleep and wakeAt on the rest. The
+// dropping halted vertices and clearing wakeAt on the rest. The
 // set and the step list are preallocated by buildLayout, so the
 // steady-state round loop stays allocation-free, and nothing is ever sorted
 // or merged.
@@ -33,7 +33,7 @@ import "math/bits"
 // of id's entry, or -1, so re-arming a sleeper moves its entry instead of
 // pushing another. A vertex woken early by a message keeps its entry until
 // it is re-armed or popped; the pop discards it because the vertex no longer
-// validates (not asleep, or wakeAt moved).
+// validates (wakeAt moved).
 type timerHeap struct {
 	h   []int64
 	pos []int32
@@ -182,13 +182,10 @@ func (s *Simulator) settle(v *Vertex) {
 	switch {
 	case v.halted:
 		// Left out; its sends still deliver next round.
-	case v.asleep:
-		if v.wakeAt > 0 {
-			s.timers.set(v.id, v.wakeAt)
-		}
+	case v.wakeAt > 0:
+		s.timers.set(v.id, v.wakeAt)
 	default:
 		s.next.add(int32(v.id))
-		s.awakeNext++
 	}
 }
 
@@ -206,7 +203,7 @@ func (s *Simulator) assembleStepList(round int) {
 		}
 		_, id := unpackTimer(s.timers.pop())
 		v := &s.verts[id]
-		if v.asleep && !v.halted && v.wakeAt == due {
+		if !v.halted && v.wakeAt == due {
 			s.next.add(int32(id))
 		}
 	}
@@ -215,7 +212,7 @@ func (s *Simulator) assembleStepList(round int) {
 	for _, id := range step {
 		v := &s.verts[id]
 		if !v.halted {
-			v.asleep, v.wakeAt = false, 0
+			v.wakeAt = 0
 			step[k] = id
 			k++
 		}
@@ -229,7 +226,6 @@ func (s *Simulator) assembleStepList(round int) {
 // previous execution must not alias). The step list is rebuilt every round.
 func (s *Simulator) resetSchedule() {
 	s.next.reset()
-	s.awakeNext = 0
 	s.timers.reset()
 	clear(s.sentAt)
 	for p := range s.inboxes {

@@ -3,7 +3,6 @@ package congest_test
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"testing"
 
 	"expandergap/internal/congest"
@@ -11,8 +10,9 @@ import (
 )
 
 // TestSleepWakeOnMessage checks the core quiescence contract: a vertex that
-// declared Sleep() is not stepped until a message actually reaches it, and
-// the round it wakes in is exactly the delivery round of that message.
+// sleeps until a far-off round is not stepped until a message actually
+// reaches it, and the round it wakes in is exactly the delivery round of
+// that message.
 func TestSleepWakeOnMessage(t *testing.T) {
 	g := graph.Path(2)
 	var stepped []int
@@ -20,7 +20,7 @@ func TestSleepWakeOnMessage(t *testing.T) {
 	_, err := sim.Run(func(v *congest.Vertex) congest.Handler {
 		if v.ID() == 1 {
 			return congest.RunFuncs{
-				InitFn: func(v *congest.Vertex) { v.Sleep() },
+				InitFn: func(v *congest.Vertex) { v.SleepUntil(1 << 30) },
 				RoundFn: func(v *congest.Vertex, round int, recv []congest.Incoming) {
 					stepped = append(stepped, round)
 					if len(recv) != 1 {
@@ -60,7 +60,7 @@ func TestDroppedMessageDoesNotWake(t *testing.T) {
 	ex := sim.Start(func(v *congest.Vertex) congest.Handler {
 		if v.ID() == 1 {
 			return congest.RunFuncs{
-				InitFn: func(v *congest.Vertex) { v.Sleep() },
+				InitFn: func(v *congest.Vertex) { v.SleepUntil(1 << 30) },
 				RoundFn: func(v *congest.Vertex, round int, recv []congest.Incoming) {
 					sleeperSteps++
 				},
@@ -149,26 +149,6 @@ func TestSleepUntilPastRoundIsNoOp(t *testing.T) {
 	}
 }
 
-// TestSleepDeadlock checks that a run in which every non-halted vertex is
-// asleep with no pending messages and no timers fails fast with ErrDeadlock
-// instead of spinning empty rounds to MaxRounds.
-func TestSleepDeadlock(t *testing.T) {
-	g := graph.Path(3)
-	sim := congest.NewSimulator(g, congest.Config{Seed: 1})
-	_, err := sim.Run(func(v *congest.Vertex) congest.Handler {
-		return congest.RunFuncs{RoundFn: func(v *congest.Vertex, round int, recv []congest.Incoming) {
-			if v.ID() == 2 {
-				v.Halt()
-				return
-			}
-			v.Sleep() // message-wake only, but nobody will ever send
-		}}
-	})
-	if !errors.Is(err, congest.ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-}
-
 // TestHaltDominatesSleep checks that Halt wins over any sleep state: a halted
 // vertex never reappears on the step list even if messages arrive or a
 // previously armed timer expires.
@@ -236,8 +216,9 @@ func TestStaleInboxNotReobserved(t *testing.T) {
 
 // sleepyFlood is a randomized workload that exercises every wake path at
 // once: vertices flood a token, each absorbing vertex draws a PRNG-dependent
-// nap length before echoing, idle vertices use message-wake sleep, and the
-// origin uses timers. TestPinnedWorkloads pins its outputs and Metrics.
+// nap length before echoing, and idle vertices sleep until a far-off round,
+// so only a message wakes them. TestPinnedWorkloads pins its outputs and
+// Metrics.
 func sleepyFlood(v *congest.Vertex) congest.Handler {
 	seen := v.ID() == 0
 	dist := 0
@@ -249,13 +230,13 @@ func sleepyFlood(v *congest.Vertex) congest.Handler {
 				echoed = true
 				v.Broadcast(congest.Message{0})
 			} else {
-				v.Sleep()
+				v.SleepUntil(1 << 30)
 			}
 		},
 		RoundFn: func(v *congest.Vertex, round int, recv []congest.Incoming) {
 			if !seen {
 				if len(recv) == 0 {
-					v.Sleep()
+					v.SleepUntil(1 << 30)
 					return
 				}
 				seen = true
@@ -293,7 +274,7 @@ func sleepyFlood(v *congest.Vertex) congest.Handler {
 // TestSteadyStateZeroAllocsWithSleep checks that the sparse scheduler keeps
 // the steady-state round loop allocation-free under continuous sleep/wake
 // churn: half the vertices ping-pong via message wakes, half via timers, so
-// every worklist and the timer heap are rebuilt every round.
+// the next-round set and the timer heap change every round.
 func TestSteadyStateZeroAllocsWithSleep(t *testing.T) {
 	g := graph.Grid(16, 16)
 	sim := congest.NewSimulator(g, congest.Config{Seed: 1})
@@ -307,7 +288,7 @@ func TestSteadyStateZeroAllocsWithSleep(t *testing.T) {
 				if timered {
 					v.SleepUntil(round + 2)
 				} else {
-					v.Sleep() // woken next round by a neighbor's broadcast
+					v.SleepUntil(1 << 30) // woken next round by a neighbor's broadcast
 				}
 			},
 		}

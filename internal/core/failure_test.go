@@ -19,7 +19,7 @@ func TestInjectedBadDiameterClusterResets(t *testing.T) {
 	// it and reset its vertices to singletons.
 	g := graph.Path(40)
 	dec := expander.FromAssignment(g, make([]int, g.N()), 0.5, 0.3) // phi=0.3 -> tiny b
-	sol, err := RunWithDecomposition(g, dec, Options{Cfg: congest.Config{Seed: 1}}, clusterSizeSolver)
+	sol, err := Run(g, Options{Eps: dec.Eps, Decomposition: dec, Cfg: congest.Config{Seed: 1}}, clusterSizeSolver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestInjectedGoodClusteringKept(t *testing.T) {
 		}
 	}
 	dec := expander.FromAssignment(g, assign, 0.5, 0.05)
-	sol, err := RunWithDecomposition(g, dec, Options{Cfg: congest.Config{Seed: 2}}, clusterSizeSolver)
+	sol, err := Run(g, Options{Eps: dec.Eps, Decomposition: dec, Cfg: congest.Config{Seed: 2}}, clusterSizeSolver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +71,12 @@ func TestInjectedGoodClusteringKept(t *testing.T) {
 	}
 }
 
+// TestRunWithDecompositionValidation checks that Run refuses an injected
+// decomposition (Options.Decomposition) of another graph.
 func TestRunWithDecompositionValidation(t *testing.T) {
 	g := graph.Path(4)
-	if _, err := RunWithDecomposition(g, nil, Options{}, clusterSizeSolver); err == nil {
-		t.Error("nil decomposition accepted")
-	}
 	bad := expander.FromAssignment(graph.Path(3), []int{0, 0, 0}, 0.5, 0.1)
-	if _, err := RunWithDecomposition(g, bad, Options{}, clusterSizeSolver); err == nil {
+	if _, err := Run(g, Options{Eps: bad.Eps, Decomposition: bad}, clusterSizeSolver); err == nil {
 		t.Error("mismatched decomposition accepted")
 	}
 }
@@ -142,7 +141,9 @@ func TestDegreeConditionFailsOnInjectedSparseCluster(t *testing.T) {
 	// fail — this is how the property tester detects non-minor-free inputs.
 	g := graph.Cycle(40)
 	dec := expander.FromAssignment(g, make([]int, g.N()), 0.9, 0.5)
-	sol, err := RunWithDecomposition(g, dec, Options{
+	sol, err := Run(g, Options{
+		Eps:               dec.Eps,
+		Decomposition:     dec,
 		Cfg:               congest.Config{Seed: 7},
 		SkipDiameterCheck: true,
 	}, clusterSizeSolver)

@@ -200,17 +200,6 @@ type Solution struct {
 	Phases map[string]int
 }
 
-// MaxClusterSize returns the largest cluster size in the solution.
-func (s *Solution) MaxClusterSize() int {
-	max := 0
-	for _, c := range s.Clusters {
-		if len(c.Members) > max {
-			max = len(c.Members)
-		}
-	}
-	return max
-}
-
 // Run executes the full Theorem 2.6 pipeline on g and applies solve in every
 // cluster.
 func Run(g *graph.Graph, opts Options, solve LocalSolver) (*Solution, error) {
@@ -222,30 +211,6 @@ func Run(g *graph.Graph, opts Options, solve LocalSolver) (*Solution, error) {
 		return nil, err
 	}
 	return run(g, opts, opts.Decomposition, solve, nil)
-}
-
-// RunWithDecomposition executes the pipeline with a caller-provided
-// clustering instead of running the decomposer — the entry point for
-// failure-injection tests (feeding the §2.3 checks a bad clustering) and for
-// callers that reuse one decomposition across several solves. Application
-// wrappers (internal/apps) reach the same path by setting
-// Options.Decomposition, which they forward verbatim from their own
-// Options.Core.
-func RunWithDecomposition(g *graph.Graph, dec *expander.Decomposition, opts Options, solve LocalSolver) (*Solution, error) {
-	opts = opts.withDefaults()
-	if dec == nil {
-		return nil, fmt.Errorf("core: nil decomposition")
-	}
-	if err := validateInjected(g, dec); err != nil {
-		return nil, err
-	}
-	if opts.Eps <= 0 || opts.Eps >= 1 {
-		opts.Eps = dec.Eps
-		if opts.Eps <= 0 || opts.Eps >= 1 {
-			opts.Eps = 0.5
-		}
-	}
-	return run(g, opts, dec, solve, nil)
 }
 
 func run(g *graph.Graph, opts Options, injected *expander.Decomposition, solve LocalSolver, psolve PayloadSolver) (*Solution, error) {

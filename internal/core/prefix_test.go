@@ -151,7 +151,7 @@ func TestPrefixEquivalence(t *testing.T) {
 }
 
 // TestPrefixSkipDiameterCheck covers a prefix prepared without the §2.3
-// self-check, through RunWithDecomposition.
+// self-check, through Run with an injected decomposition.
 func TestPrefixSkipDiameterCheck(t *testing.T) {
 	g := graph.TriangulatedGrid(6, 6)
 	dec, err := expander.Decompose(g, 0.3, expander.Options{Seed: 2})
@@ -165,17 +165,17 @@ func TestPrefixSkipDiameterCheck(t *testing.T) {
 		}
 		return out
 	}
-	opts := core.Options{SkipDiameterCheck: true, Cfg: congest.Config{Seed: 4}}
+	opts := core.Options{Eps: dec.Eps, Decomposition: dec, SkipDiameterCheck: true, Cfg: congest.Config{Seed: 4}}
 	pre, err := core.Prepare(g, dec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := core.RunWithDecomposition(g, dec, opts, size)
+	live, err := core.Run(g, opts, size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Prefix = pre
-	cached, err := core.RunWithDecomposition(g, dec, opts, size)
+	cached, err := core.Run(g, opts, size)
 	if err != nil {
 		t.Fatal(err)
 	}

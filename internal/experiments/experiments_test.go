@@ -1,9 +1,31 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// Passed reports whether all checks hold.
+func (o Outcome) Passed() bool {
+	for _, c := range o.Checks {
+		if !c.OK {
+			return false
+		}
+	}
+	return true
+}
+
+// FailedChecks lists the names of failing checks.
+func (o Outcome) FailedChecks() []string {
+	var out []string
+	for _, c := range o.Checks {
+		if !c.OK {
+			out = append(out, fmt.Sprintf("%s (%s)", c.Name, c.Info))
+		}
+	}
+	return out
+}
 
 func TestTableFormatting(t *testing.T) {
 	tab := &Table{

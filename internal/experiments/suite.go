@@ -104,12 +104,3 @@ func Named(id string, p Params) Outcome {
 func IDs() []string {
 	return []string{"E1", "E2", "E2b", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16"}
 }
-
-// All runs the complete suite.
-func All(p Params) []Outcome {
-	out := make([]Outcome, 0, len(IDs()))
-	for _, id := range IDs() {
-		out = append(out, Named(id, p))
-	}
-	return out
-}

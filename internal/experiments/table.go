@@ -91,24 +91,3 @@ type Outcome struct {
 	Table  *Table
 	Checks []Check
 }
-
-// Passed reports whether all checks hold.
-func (o Outcome) Passed() bool {
-	for _, c := range o.Checks {
-		if !c.OK {
-			return false
-		}
-	}
-	return true
-}
-
-// FailedChecks lists the names of failing checks.
-func (o Outcome) FailedChecks() []string {
-	var out []string
-	for _, c := range o.Checks {
-		if !c.OK {
-			out = append(out, fmt.Sprintf("%s (%s)", c.Name, c.Info))
-		}
-	}
-	return out
-}

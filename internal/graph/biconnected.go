@@ -1,7 +1,5 @@
 package graph
 
-import "slices"
-
 // BiconnectedComponents returns the biconnected components of g as slices of
 // edge indices, computed with Hopcroft–Tarjan lowpoint DFS (iterative, so
 // deep planar graphs do not overflow the stack). Bridges form their own
@@ -88,43 +86,4 @@ func (g *Graph) BiconnectedComponents() [][]int {
 		}
 	}
 	return comps
-}
-
-// ArticulationPoints returns the cut vertices of g in ascending order.
-func (g *Graph) ArticulationPoints() []int {
-	comps := g.BiconnectedComponents()
-	// A vertex is an articulation point iff it belongs to >= 2 biconnected
-	// components.
-	count := make(map[int]int)
-	for _, comp := range comps {
-		seen := make(map[int]bool)
-		for _, ei := range comp {
-			e := g.edges[ei]
-			seen[e.U] = true
-			seen[e.V] = true
-		}
-		for v := range seen {
-			count[v]++
-		}
-	}
-	var pts []int
-	for v := 0; v < g.n; v++ {
-		if count[v] >= 2 {
-			pts = append(pts, v)
-		}
-	}
-	return pts
-}
-
-// Bridges returns the indices of bridge edges (edges whose removal
-// disconnects their component) in ascending order.
-func (g *Graph) Bridges() []int {
-	var bridges []int
-	for _, comp := range g.BiconnectedComponents() {
-		if len(comp) == 1 {
-			bridges = append(bridges, comp[0])
-		}
-	}
-	slices.Sort(bridges)
-	return bridges
 }

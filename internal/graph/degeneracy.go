@@ -51,50 +51,3 @@ func (g *Graph) Degeneracy() (int, []int) {
 	}
 	return degeneracy, order
 }
-
-// CoreNumbers returns the k-core number of every vertex (the largest k such
-// that the vertex survives in the k-core).
-func (g *Graph) CoreNumbers() []int {
-	n := g.n
-	core := make([]int, n)
-	deg := make([]int, n)
-	removed := make([]bool, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(v)
-	}
-	maxDeg := g.MaxDegree()
-	buckets := make([][]int, maxDeg+1)
-	for v := 0; v < n; v++ {
-		buckets[deg[v]] = append(buckets[deg[v]], v)
-	}
-	processed := 0
-	level := 0
-	cur := 0
-	for processed < n && cur <= maxDeg {
-		if len(buckets[cur]) == 0 {
-			cur++
-			continue
-		}
-		v := buckets[cur][len(buckets[cur])-1]
-		buckets[cur] = buckets[cur][:len(buckets[cur])-1]
-		if removed[v] || deg[v] != cur {
-			continue
-		}
-		if cur > level {
-			level = cur
-		}
-		core[v] = level
-		removed[v] = true
-		processed++
-		g.ForEachNeighbor(v, func(u, _ int) {
-			if !removed[u] {
-				deg[u]--
-				buckets[deg[u]] = append(buckets[deg[u]], u)
-				if deg[u] < cur {
-					cur = deg[u]
-				}
-			}
-		})
-	}
-	return core
-}

@@ -7,6 +7,19 @@ import (
 	"testing"
 )
 
+// EccentricityOf returns the maximum finite BFS distance from src within its
+// connected component.
+func EccentricityOf(g G, src int) int {
+	dist, _ := BFSOf(g, src)
+	ecc := 0
+	for _, d := range dist {
+		if d > ecc {
+			ecc = d
+		}
+	}
+	return ecc
+}
+
 // diameterAllPairs is the reference diameter: the largest eccentricity over
 // a BFS from every vertex.
 func diameterAllPairs(g G) int {

@@ -15,15 +15,14 @@
 // give bit-identical graphs whichever path built them. Edge weights (for maximum weight matching)
 // and edge signs (for correlation clustering) are optional per-edge
 // annotations carried by parallel arrays indexed by edge index. Aggregate
-// quantities that would otherwise need a scan — MaxDegree, MinDegree,
-// MaxWeight, TotalWeight — are computed once at build time and served in
-// O(1).
+// quantities that would otherwise need a scan — MaxDegree, MaxWeight,
+// TotalWeight — are computed once at build time and served in O(1).
 //
 // # Views
 //
-// The recursive algorithms in this repository (expander decomposition, ball
-// carving, cluster verification) repeatedly restrict a graph to a vertex
-// subset. Materializing each restriction as a new *Graph would cost a full
+// The recursive algorithms in this repository (expander decomposition,
+// cluster verification) repeatedly restrict a graph to a vertex subset.
+// Materializing each restriction as a new *Graph would cost a full
 // Builder pass per recursion level. The View type avoids that: Induce and
 // InduceFiltered build a zero-copy subgraph view that shares the backing
 // graph's edge list, weights and signs, adding only a small local adjacency
@@ -77,9 +76,8 @@
 // Vertex deletion isolates the ID rather than renumbering — vertex IDs stay
 // dense, the invariant every downstream array relies on. Compact
 // materializes the overlay through StreamingBuilder into a canonical
-// *Graph, byte-identical through the binary codec; DeltaFraction and
-// NeedsCompact (DefaultCompactThreshold) say when that is worth paying.
-// Deterministic mutation streams come from GenerateChurn. See DESIGN.md
+// *Graph, byte-identical through the binary codec; the server compacts
+// after every mutation batch. Deterministic mutation streams come from GenerateChurn. See DESIGN.md
 // §3.16 for the delta layout and how the expander package consumes overlays
 // incrementally.
 package graph

@@ -40,10 +40,8 @@ func ExampleGraph_BiconnectedComponents() {
 	b.AddEdge(2, 4)
 	g := b.Graph()
 	fmt.Println("blocks:", len(g.BiconnectedComponents()))
-	fmt.Println("articulation points:", g.ArticulationPoints())
 	// Output:
 	// blocks: 2
-	// articulation points: [2]
 }
 
 func ExampleGraph_Degeneracy() {

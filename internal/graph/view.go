@@ -65,7 +65,6 @@ type View struct {
 	vidx   []int32 // local edge index per half-edge
 	gedge  []int32 // local edge index -> base edge index, ascending
 	maxDeg int
-	minDeg int
 }
 
 // Induce returns the zero-copy view of g induced by the vertex set verts.
@@ -154,17 +153,8 @@ func (g *Graph) InduceFiltered(verts []int, dropEdge func(edgeIdx int) bool) *Vi
 		s.vidx[cursor[lj]] = int32(localIdx)
 		cursor[lj]++
 	}
-	if k > 0 {
-		s.minDeg = s.Degree(0)
-		for i := 0; i < k; i++ {
-			d := s.Degree(i)
-			if d > s.maxDeg {
-				s.maxDeg = d
-			}
-			if d < s.minDeg {
-				s.minDeg = d
-			}
-		}
+	for i := 0; i < k; i++ {
+		s.maxDeg = max(s.maxDeg, s.Degree(i))
 	}
 	return s
 }
@@ -200,10 +190,6 @@ func (s *View) Degree(v int) int { return int(s.voff[v+1] - s.voff[v]) }
 // construction.
 func (s *View) MaxDegree() int { return s.maxDeg }
 
-// MinDegree returns the minimum view degree (0 for an empty view), cached at
-// construction.
-func (s *View) MinDegree() int { return s.minDeg }
-
 // ForEachNeighbor calls fn for every view neighbor u of local vertex v with
 // the local edge index, in ascending local-neighbor order.
 func (s *View) ForEachNeighbor(v int, fn func(u, edgeIdx int)) {
@@ -216,12 +202,6 @@ func (s *View) ForEachNeighbor(v int, fn func(u, edgeIdx int)) {
 // the same layout and aliasing rules as (*Graph).AdjacencyCSR: read-only,
 // row v is to[off[v]:off[v+1]] in ascending local-neighbor order.
 func (s *View) AdjacencyCSR() (off, to []int32) { return s.voff, s.vto }
-
-// NeighborAt returns the i-th view neighbor of local vertex v without
-// allocating.
-func (s *View) NeighborAt(v, i int) int {
-	return int(s.vto[int(s.voff[v])+i])
-}
 
 // Neighbors returns the view neighbors of local vertex v in ascending order.
 // The returned slice is owned by the caller.
@@ -302,21 +282,8 @@ func (s *View) BaseVertices() []int {
 // BaseEdge returns the base-graph edge index of local edge idx.
 func (s *View) BaseEdge(idx int) int { return int(s.gedge[idx]) }
 
-// Volume returns the sum of view degrees of the local vertices in vs.
-func (s *View) Volume(vs []int) int {
-	vol := 0
-	for _, v := range vs {
-		vol += s.Degree(v)
-	}
-	return vol
-}
-
 // BFS runs a breadth-first search from local vertex src within the view.
 func (s *View) BFS(src int) (dist, parent []int) { return BFSOf(s, src) }
-
-// Eccentricity returns the maximum finite BFS distance from src within its
-// view component.
-func (s *View) Eccentricity(src int) int { return EccentricityOf(s, src) }
 
 // Diameter returns the exact diameter of the view (per component, maximum).
 func (s *View) Diameter() int { return DiameterOf(s) }

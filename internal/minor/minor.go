@@ -243,24 +243,6 @@ func subgraphIso(g adjSets, h [][]bool) bool {
 	return try(0)
 }
 
-// HasK5Minor reports whether g contains K5 as a minor. For graphs small
-// enough it uses the exact search; by Wagner's theorem a planar graph never
-// has one, so the planarity test provides a fast negative filter.
-func HasK5Minor(g *graph.Graph) bool {
-	if IsPlanar(g) {
-		return false
-	}
-	return HasMinor(g, graph.Complete(5))
-}
-
-// HasK33Minor reports whether g contains K3,3 as a minor.
-func HasK33Minor(g *graph.Graph) bool {
-	if IsPlanar(g) {
-		return false
-	}
-	return HasMinor(g, graph.CompleteBipartite(3, 3))
-}
-
 // Property is a minor-closed graph property described by its finite set of
 // forbidden minors (the Robertson–Seymour characterization used throughout
 // §3.4 of the paper). A graph has the property iff it contains none of the
@@ -318,17 +300,5 @@ func Forests() Property {
 		Name:      "forest",
 		Forbidden: []*graph.Graph{graph.Complete(3)},
 		Check:     func(g *graph.Graph) bool { return !g.HasCycle() },
-	}
-}
-
-// LinearForests is the property of disjoint unions of paths, with forbidden
-// minors {K3, K_{1,3}}.
-func LinearForests() Property {
-	return Property{
-		Name:      "linear-forest",
-		Forbidden: []*graph.Graph{graph.Complete(3), graph.Star(3)},
-		Check: func(g *graph.Graph) bool {
-			return !g.HasCycle() && g.MaxDegree() <= 2
-		},
 	}
 }

@@ -12,8 +12,6 @@ type diamCheckHandler struct {
 	b       int
 	maxSeen int64
 	marked  bool
-	// neighborVals holds same-cluster neighbors' b-ball maxima.
-	phaseDone bool
 }
 
 // DiameterCheck implements the failure-detection subroutine of §2.3 of the

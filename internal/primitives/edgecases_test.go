@@ -22,55 +22,6 @@ func TestBFSForestInsufficientBudget(t *testing.T) {
 	}
 }
 
-func TestConvergecastInsufficientBudgetPartial(t *testing.T) {
-	g := graph.Path(8)
-	bfs, _, err := BFSForest(g, defaultCfg(), Uniform(g.N()), map[int]int{0: 0}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	values := make([]int64, g.N())
-	for v := range values {
-		values[v] = 1
-	}
-	// Budget 2 cannot drain an 8-deep path; the root sees a partial sum.
-	sums, _, err := Convergecast(g, defaultCfg(), bfs, values, OpSum, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sums[0] >= 8 {
-		t.Errorf("partial convergecast reported full sum %d", sums[0])
-	}
-	// Ample budget gets the exact sum.
-	sums, _, err = Convergecast(g, defaultCfg(), bfs, values, OpSum, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sums[0] != 8 {
-		t.Errorf("full convergecast sum = %d, want 8", sums[0])
-	}
-}
-
-func TestFloodValueMultipleClustersSimultaneous(t *testing.T) {
-	// 3 disjoint cycles, three clusters, three different values — one run.
-	g := graph.Disjoint(graph.Cycle(4), graph.Cycle(4), graph.Cycle(4))
-	cluster := make(ClusterAssignment, g.N())
-	for v := range cluster {
-		cluster[v] = v / 4
-	}
-	vals, _, err := FloodValue(g, defaultCfg(), cluster,
-		map[int]int{0: 0, 1: 4, 2: 8},
-		map[int]int64{0: 100, 1: 200, 2: 300}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.N(); v++ {
-		want := int64(100 * (v/4 + 1))
-		if vals[v] == nil || *vals[v] != want {
-			t.Errorf("vertex %d got %v, want %d", v, vals[v], want)
-		}
-	}
-}
-
 func TestOrientationSingleVertexAndEdgeless(t *testing.T) {
 	g := graph.NewBuilder(3).Graph()
 	orient, _, err := LowOutDegreeOrientation(g, defaultCfg(), Uniform(3), 2, 8)

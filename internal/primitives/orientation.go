@@ -18,17 +18,6 @@ type Orientation struct {
 	Phases int
 }
 
-// MaxOutDegree returns the maximum out-degree of the orientation.
-func (o Orientation) MaxOutDegree() int {
-	max := 0
-	for _, d := range o.OutDegree {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 const (
 	orientMsgPeel = iota + 1
 )
@@ -39,7 +28,6 @@ type orientHandler struct {
 	active       bool
 	activePorts  map[int]bool // same-cluster ports still active
 	ownedPorts   []int
-	phaseLen     int // rounds per peeling phase (2: announce, settle)
 	budgetPhases int
 	phase        int
 }

@@ -1,9 +1,9 @@
 // Package primitives implements the standard CONGEST building blocks the
 // framework composes: cluster-restricted BFS forests, leader election by
-// maximum degree (§2.3 of the paper), broadcast and convergecast over BFS
-// trees, the Barenboim–Elkin low-out-degree orientation used by the
-// information-gathering step (§2.2), and the cluster-diameter self-check the
-// paper uses to detect failed decompositions (§2.3).
+// maximum degree (§2.3 of the paper), the Barenboim–Elkin low-out-degree
+// orientation used by the information-gathering step (§2.2), and the
+// cluster-diameter self-check the paper uses to detect failed
+// decompositions (§2.3).
 //
 // Every primitive is a genuine message-passing algorithm executed by the
 // congest.Simulator. Primitives are cluster-aware: vertices carry a cluster
@@ -296,192 +296,6 @@ func ElectLeaders(g *graph.Graph, cfg congest.Config, cluster ClusterAssignment,
 	for v := 0; v < g.N(); v++ {
 		pair := res.Outputs[v].([2]int)
 		out.Leader[v], out.LeaderDegree[v] = pair[0], pair[1]
-	}
-	return out, res.Metrics, nil
-}
-
-type floodValueHandler struct {
-	clusterBase
-	value  int64
-	has    bool
-	budget int
-	queued bool
-}
-
-func (h *floodValueHandler) Round(v *congest.Vertex, round int, recv []congest.Incoming) {
-	pr, ok := h.absorb(v, round, recv)
-	if !ok {
-		if !h.has {
-			// Non-sources idle until the flooded value arrives (message
-			// wake) or the output round; sources stay awake to send at
-			// pr==1.
-			v.SleepUntil(h.budget + 1)
-		}
-		return
-	}
-	if pr == 1 && h.has {
-		h.queued = true
-		h.sendSame(v, h.value)
-	}
-	if !h.has {
-		for _, in := range recv {
-			if len(in.Msg) == 1 {
-				h.has = true
-				h.value = in.Msg[0]
-				h.sendSame(v, h.value)
-				break
-			}
-		}
-	}
-	if pr >= h.budget {
-		if h.has {
-			v.SetOutput(h.value)
-		}
-		v.Halt()
-		return
-	}
-	v.SleepUntil(h.budget + 1)
-}
-
-// FloodValue floods a single word from each cluster's source vertex (map
-// cluster ID -> source) to all cluster members. Values per cluster come from
-// sources' local knowledge, passed here by the harness. Returns per-vertex
-// received values (nil where nothing arrived).
-func FloodValue(g *graph.Graph, cfg congest.Config, cluster ClusterAssignment, source map[int]int, value map[int]int64, budget int) ([]*int64, congest.Metrics, error) {
-	if err := cluster.Validate(g); err != nil {
-		return nil, congest.Metrics{}, err
-	}
-	cfg.Obs.BeginPhase("flood-value")
-	defer cfg.Obs.EndPhase()
-	sim := congest.NewSimulator(g, cfg)
-	res, err := sim.Run(func(v *congest.Vertex) congest.Handler {
-		h := &floodValueHandler{
-			clusterBase: clusterBase{clusterID: cluster[v.ID()]},
-			budget:      budget,
-		}
-		if src, okk := source[cluster[v.ID()]]; okk && src == v.ID() {
-			h.has = true
-			h.value = value[cluster[v.ID()]]
-		}
-		return h
-	})
-	if err != nil {
-		return nil, res.Metrics, err
-	}
-	out := make([]*int64, g.N())
-	for v := 0; v < g.N(); v++ {
-		if res.Outputs[v] != nil {
-			val := res.Outputs[v].(int64)
-			out[v] = &val
-		}
-	}
-	return out, res.Metrics, nil
-}
-
-// AggregateOp selects the convergecast combining operation.
-type AggregateOp int
-
-const (
-	// OpSum adds contributions.
-	OpSum AggregateOp = iota + 1
-	// OpMax keeps the maximum contribution.
-	OpMax
-	// OpMin keeps the minimum contribution.
-	OpMin
-)
-
-func (op AggregateOp) combine(a, b int64) int64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		if b > a {
-			return b
-		}
-		return a
-	case OpMin:
-		if b < a {
-			return b
-		}
-		return a
-	default:
-		panic(fmt.Sprintf("primitives: unknown aggregate op %d", op))
-	}
-}
-
-type convergecastHandler struct {
-	parent    int // parent vertex ID, self for root, -1 unreached
-	childWait int
-	acc       int64
-	isRoot    bool
-	op        AggregateOp
-	budget    int
-	sentUp    bool
-}
-
-func (h *convergecastHandler) Init(v *congest.Vertex) {}
-
-func (h *convergecastHandler) Round(v *congest.Vertex, round int, recv []congest.Incoming) {
-	for _, in := range recv {
-		if len(in.Msg) == 1 {
-			h.acc = h.op.combine(h.acc, in.Msg[0])
-			h.childWait--
-		}
-	}
-	if !h.sentUp && h.childWait == 0 && h.parent >= 0 && !h.isRoot {
-		p := v.PortOf(h.parent)
-		if p >= 0 {
-			v.SendWords(p, h.acc)
-		}
-		h.sentUp = true
-	}
-	if round >= h.budget {
-		if h.isRoot {
-			v.SetOutput(h.acc)
-		}
-		v.Halt()
-		return
-	}
-	// Everything this handler does is triggered by arriving child
-	// contributions (leaves send theirs in round 1, before any sleep);
-	// sleep until the next one or the final aggregation round.
-	v.SleepUntil(h.budget)
-}
-
-// Convergecast aggregates one value per vertex up a previously built BFS
-// forest and returns the per-cluster aggregate at each root. childCount and
-// parents come from BFSForest output; budget must be at least the forest
-// depth plus one.
-func Convergecast(g *graph.Graph, cfg congest.Config, bfs BFSResult, values []int64, op AggregateOp, budget int) (map[int]int64, congest.Metrics, error) {
-	n := g.N()
-	childCount := make([]int, n)
-	for v := 0; v < n; v++ {
-		p := bfs.Parent[v]
-		if p >= 0 && p != v {
-			childCount[p]++
-		}
-	}
-	cfg.Obs.BeginPhase("convergecast")
-	defer cfg.Obs.EndPhase()
-	sim := congest.NewSimulator(g, cfg)
-	res, err := sim.Run(func(v *congest.Vertex) congest.Handler {
-		return &convergecastHandler{
-			parent:    bfs.Parent[v.ID()],
-			childWait: childCount[v.ID()],
-			acc:       values[v.ID()],
-			isRoot:    bfs.Parent[v.ID()] == v.ID(),
-			op:        op,
-			budget:    budget,
-		}
-	})
-	if err != nil {
-		return nil, res.Metrics, err
-	}
-	out := make(map[int]int64)
-	for v := 0; v < n; v++ {
-		if res.Outputs[v] != nil {
-			out[v] = res.Outputs[v].(int64)
-		}
 	}
 	return out, res.Metrics, nil
 }

@@ -14,6 +14,17 @@ import (
 
 func defaultCfg() congest.Config { return congest.Config{Seed: 7} }
 
+// MaxOutDegree returns the maximum out-degree of the orientation.
+func (o Orientation) MaxOutDegree() int {
+	max := 0
+	for _, d := range o.OutDegree {
+		if d > max {
+			max = d
+		}
+	}
+	return max
+}
+
 func TestClusterAssignmentHelpers(t *testing.T) {
 	s := Singletons(4)
 	if len(s.Clusters()) != 4 {
@@ -142,82 +153,6 @@ func TestElectLeadersPerCluster(t *testing.T) {
 	// Cluster degree counts only same-cluster neighbors.
 	if leaders.LeaderDegree[1] != 3 || leaders.LeaderDegree[5] != 4 {
 		t.Errorf("leader degrees = %d,%d; want 3,4", leaders.LeaderDegree[1], leaders.LeaderDegree[5])
-	}
-}
-
-func TestFloodValue(t *testing.T) {
-	g := graph.Grid(3, 3)
-	vals, _, err := FloodValue(g, defaultCfg(), Uniform(g.N()),
-		map[int]int{0: 4}, map[int]int64{0: 99}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.N(); v++ {
-		if vals[v] == nil || *vals[v] != 99 {
-			t.Errorf("vertex %d did not receive flooded value", v)
-		}
-	}
-}
-
-func TestFloodValueStaysInCluster(t *testing.T) {
-	g := graph.Path(4)
-	cluster := ClusterAssignment{0, 0, 1, 1}
-	vals, _, err := FloodValue(g, defaultCfg(), cluster,
-		map[int]int{0: 0}, map[int]int64{0: 7}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[0] == nil || vals[1] == nil {
-		t.Error("cluster 0 members should receive the value")
-	}
-	if vals[2] != nil || vals[3] != nil {
-		t.Error("value leaked across cluster boundary")
-	}
-}
-
-func TestConvergecastSum(t *testing.T) {
-	g := graph.BalancedBinaryTree(7)
-	cluster := Uniform(g.N())
-	bfs, _, err := BFSForest(g, defaultCfg(), cluster, map[int]int{0: 0}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	values := make([]int64, g.N())
-	var want int64
-	for v := range values {
-		values[v] = int64(v + 1)
-		want += int64(v + 1)
-	}
-	sums, _, err := Convergecast(g, defaultCfg(), bfs, values, OpSum, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sums[0]; got != want {
-		t.Errorf("convergecast sum = %d, want %d", got, want)
-	}
-}
-
-func TestConvergecastMaxMinPerCluster(t *testing.T) {
-	g := graph.Path(6)
-	cluster := ClusterAssignment{0, 0, 0, 1, 1, 1}
-	bfs, _, err := BFSForest(g, defaultCfg(), cluster, map[int]int{0: 0, 1: 3}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	values := []int64{5, 2, 9, 1, 8, 3}
-	maxes, _, err := Convergecast(g, defaultCfg(), bfs, values, OpMax, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxes[0] != 9 || maxes[3] != 8 {
-		t.Errorf("maxes = %v, want root0:9 root3:8", maxes)
-	}
-	mins, _, err := Convergecast(g, defaultCfg(), bfs, values, OpMin, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mins[0] != 2 || mins[3] != 1 {
-		t.Errorf("mins = %v, want root0:2 root3:1", mins)
 	}
 }
 

@@ -75,7 +75,7 @@ func respondIndexed(leader int, inbox []Token) [][2]int64 {
 
 // exchangeHash folds every Responses entry, the delivery counts, the leader
 // loads (by ascending leader) and the metrics into one FNV-64a digest.
-func exchangeHash(res *ExchangeResult, m congest.Metrics) uint64 {
+func exchangeHash(res *ExchangeResult, plan Plan, m congest.Metrics) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	word := func(x int64) {
@@ -95,14 +95,15 @@ func exchangeHash(res *ExchangeResult, m congest.Metrics) uint64 {
 	}
 	word(int64(res.Delivered))
 	word(int64(res.Undelivered))
-	leaders := make([]int, 0, len(res.LeaderLoad))
-	for l := range res.LeaderLoad {
+	load := leaderLoad(res, plan)
+	leaders := make([]int, 0, len(load))
+	for l := range load {
 		leaders = append(leaders, l)
 	}
 	slices.Sort(leaders)
 	for _, l := range leaders {
 		word(int64(l))
-		word(int64(res.LeaderLoad[l]))
+		word(int64(load[l]))
 	}
 	word(int64(m.Rounds))
 	word(m.Messages)
@@ -155,7 +156,7 @@ func TestExchangeGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := exchangeHash(res, m); got != tc.want {
+		if got := exchangeHash(res, tc.plan, m); got != tc.want {
 			t.Errorf("%s: hash %d, want %d (delivered %d, undelivered %d, %+v)",
 				tc.name, got, tc.want, res.Delivered, res.Undelivered, m)
 		}
@@ -214,7 +215,7 @@ func TestExchangeRevisitsRetrace(t *testing.T) {
 			t.Errorf("%s: %d hops for summed distance %d; walks too direct to exercise revisits",
 				tc.name, hops, dist)
 		}
-		if got := exchangeHash(res, m); got != tc.want {
+		if got := exchangeHash(res, plan, m); got != tc.want {
 			t.Errorf("%s: hash %d, want %d", tc.name, got, tc.want)
 		}
 	}
@@ -236,7 +237,7 @@ func TestConcurrentExchanges(t *testing.T) {
 			t.Error(err)
 			return 0
 		}
-		return exchangeHash(res, m)
+		return exchangeHash(res, plan, m)
 	}
 	const runs = 6
 	want := make([]uint64, runs)

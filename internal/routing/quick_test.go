@@ -53,7 +53,7 @@ func TestQuickExchangeInvariants(t *testing.T) {
 		for _, ts := range tokens {
 			totalTokens += len(ts)
 		}
-		return totalResp == totalTokens && res.LeaderLoad[leaderV] == totalTokens
+		return totalResp == totalTokens && leaderLoad(res, plan)[leaderV] == totalTokens
 	}
 	// Pin the input generator: the walk budget 8mD+64 is a high-probability
 	// bound, not a certainty, so a time-seeded generator makes this test

@@ -73,8 +73,6 @@ type ExchangeResult struct {
 	Delivered int
 	// Undelivered counts tokens that missed the forward budget.
 	Undelivered int
-	// LeaderLoad counts absorbed tokens per leader vertex.
-	LeaderLoad map[int]int
 }
 
 const (
@@ -545,10 +543,7 @@ func exchange(g *graph.Graph, cfg congest.Config, plan Plan, tokens [][]Token, r
 		e.EndPhase()
 	}
 	res = e.Finish()
-	out := &ExchangeResult{
-		Responses:  make([][]Token, n),
-		LeaderLoad: make(map[int]int),
-	}
+	out := &ExchangeResult{Responses: make([][]Token, n)}
 	for v := 0; v < n; v++ {
 		if res.Outputs[v] == nil {
 			continue
@@ -564,26 +559,5 @@ func exchange(g *graph.Graph, cfg congest.Config, plan Plan, tokens [][]Token, r
 		out.Delivered += len(resp)
 	}
 	out.Undelivered = totalTokens - out.Delivered
-	for v := 0; v < n; v++ {
-		if out.Responses[v] != nil {
-			out.LeaderLoad[plan.Leader[v]] += len(out.Responses[v])
-		}
-	}
 	return out, res.Metrics, nil
-}
-
-// GatherOnly routes tokens to leaders without responses and returns what
-// each leader absorbed. It runs the same forward phase as Exchange; the
-// reverse phase degenerates to echoing delivery confirmations, which is how
-// origins learn their token arrived (the §2.3 delivery check).
-func GatherOnly(g *graph.Graph, cfg congest.Config, plan Plan, tokens [][]Token) (map[int][]Token, *ExchangeResult, congest.Metrics, error) {
-	inbox := make(map[int][]Token)
-	res, metrics, err := Exchange(g, cfg, plan, tokens, func(leader int, t Token) (int64, int64) {
-		inbox[leader] = append(inbox[leader], t)
-		return t.A, t.B
-	})
-	if err != nil {
-		return nil, nil, metrics, err
-	}
-	return inbox, res, metrics, nil
 }

@@ -214,21 +214,3 @@ func HighDegreeWitness(g graph.G, phi float64) float64 {
 	}
 	return float64(graph.MaxDegreeOf(g)) / (phi * phi * float64(g.N()))
 }
-
-// LemmaProof mirrors the proof of Lemma 2.3: given a balanced edge separator
-// of size |∂S| for a cluster with conductance φ, it derives the implied
-// lower bound on Δ_i. Specifically φ ≤ Φ(S) ≤ |∂S| / (|V|/3) and
-// |∂S| ≤ c√(Δ|V|) yield Δ ≥ (φ/(3c))²·|V|. The function returns the implied
-// constant (φ·|V|/3 / |∂S|)² · Δ_measured-consistency ratio, packaged as the
-// separator-side check used by tests.
-func LemmaProof(g graph.G, sep EdgeSeparator, phi float64) (impliedMinDegree float64, ok bool) {
-	if !sep.Balanced(g.N()) || g.N() == 0 {
-		return 0, false
-	}
-	c := sep.Quality(g)
-	if c == 0 {
-		return 0, true
-	}
-	d := phi / (3 * c)
-	return d * d * float64(g.N()), true
-}

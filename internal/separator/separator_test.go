@@ -173,22 +173,6 @@ func TestHighDegreeWitness(t *testing.T) {
 	}
 }
 
-func TestLemmaProof(t *testing.T) {
-	g := graph.Complete(9)
-	sep := BruteForce(g)
-	implied, ok := LemmaProof(g, sep, 2.0/3.0)
-	if !ok {
-		t.Fatal("balanced separator rejected")
-	}
-	if implied <= 0 {
-		t.Errorf("implied min degree = %v, want > 0", implied)
-	}
-	// Unbalanced separator is rejected.
-	if _, ok := LemmaProof(g, EdgeSeparator{S: map[int]bool{0: true}}, 0.5); ok {
-		t.Error("unbalanced separator should be rejected")
-	}
-}
-
 // Property: heuristic separators are always balanced and their cut size
 // matches a direct recount.
 func TestQuickSeparatorConsistency(t *testing.T) {

@@ -75,88 +75,6 @@ func LowDiameterDecomposition(g *graph.Graph, eps float64, levels int, rng *rand
 	return res
 }
 
-// BallCarving is the classic deterministic low-diameter decomposition:
-// repeatedly take the smallest unassigned vertex and grow a BFS ball,
-// increasing the radius while the boundary is large — stopping at the first
-// radius where the edges leaving the ball number at most eps times the
-// edges inside it. Each carve's cut charges to its disjoint interior, so
-// the total cut is at most ε·|E|, and the radius argument bounds each
-// ball's diameter by O(log m / ε) — the inverse-polynomial dependence that
-// Theorem 1.5 improves to O(1/ε) on minor-free graphs. It serves as the
-// deterministic baseline for E10-style comparisons.
-func BallCarving(g *graph.Graph, eps float64) LDDResult {
-	n := g.N()
-	if eps <= 0 {
-		eps = 0.1
-	}
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	next := 0
-	for root := 0; root < n; root++ {
-		if labels[root] != -1 {
-			continue
-		}
-		// Grow the ball level by level over unassigned vertices.
-		ball := map[int]bool{root: true}
-		frontier := []int{root}
-		for {
-			internal, crossing := 0, 0
-			for v := range ball {
-				g.ForEachNeighbor(v, func(u, _ int) {
-					if labels[u] != -1 {
-						return // edges to earlier balls were already charged
-					}
-					if ball[u] {
-						internal++ // counted twice
-					} else {
-						crossing++
-					}
-				})
-			}
-			if float64(crossing) <= eps*float64(internal/2)+eps {
-				break
-			}
-			var nextFrontier []int
-			for _, v := range frontier {
-				g.ForEachNeighbor(v, func(u, _ int) {
-					if labels[u] == -1 && !ball[u] {
-						ball[u] = true
-						nextFrontier = append(nextFrontier, u)
-					}
-				})
-			}
-			if len(nextFrontier) == 0 {
-				break
-			}
-			frontier = nextFrontier
-		}
-		for v := range ball {
-			labels[v] = next
-		}
-		next++
-	}
-	res := LDDResult{Labels: labels}
-	for i := 0; i < g.M(); i++ {
-		e := g.EdgeAt(i)
-		if labels[e.U] != labels[e.V] {
-			res.CutEdges++
-		}
-	}
-	groups := make(map[int][]int)
-	for v, l := range labels {
-		groups[l] = append(groups[l], v)
-	}
-	for _, members := range groups {
-		sub := g.Induce(members)
-		if d := sub.Diameter(); d > res.MaxDiameter {
-			res.MaxDiameter = d
-		}
-	}
-	return res
-}
-
 // chopPiece BFS-chops one piece into bands of the given width with a random
 // offset, then splits each band into its connected components (pieces must
 // stay connected to keep diameters meaningful).

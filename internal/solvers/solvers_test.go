@@ -393,3 +393,16 @@ func max(a, b int) int {
 	}
 	return b
 }
+
+func TestDoubleTorusGenerator(t *testing.T) {
+	g := graph.DoubleTorus(4)
+	if g.N() != 32 {
+		t.Errorf("N = %d, want 32", g.N())
+	}
+	if g.M() != 2*32+2 {
+		t.Errorf("M = %d, want 66", g.M())
+	}
+	if !g.Connected() {
+		t.Error("double torus should be connected")
+	}
+}
