@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"strings"
 
 	"expandergap/internal/congest"
 	"expandergap/internal/expander"
@@ -61,21 +62,32 @@ func main() {
 
 	fmt.Printf("clusters: %d  removed edges: %d (%.4f of |E|, budget %.4f)  φ-target: %.5f\n",
 		len(dec.Clusters), len(dec.Removed), dec.CutFraction(g), *epsFlag, dec.Phi)
-	hist := map[int]int{}
-	for _, c := range dec.Clusters {
-		hist[bucket(len(c))]++
-	}
-	fmt.Println("cluster-size histogram (by power-of-two bucket):")
-	for b := 1; b <= dec.LargestCluster(); b *= 2 {
-		if hist[b] > 0 {
-			fmt.Printf("  ~%4d vertices: %d clusters\n", b, hist[b])
-		}
-	}
-	rng := rand.New(rand.NewSource(*seedFlag))
-	fmt.Printf("stats: %v\n", dec.ComputeStats(g, rng))
-	rep := dec.Verify(g, rng)
+	fmt.Print(histogram(dec))
+	fmt.Printf("stats: %v\n", dec.ComputeStats(g))
+	rep := dec.Verify(g, rand.New(rand.NewSource(*seedFlag)))
 	fmt.Printf("verify: cutOK=%v conductanceOK=%v (min Φ=%.5f, exact=%v) connected=%v\n",
 		rep.CutOK, rep.ConductanceOK, rep.MinConductance, rep.Exact, rep.Connected)
+}
+
+// histogram renders the cluster-size histogram: the clusters counted per
+// power-of-two bucket, log₂ of the size rounded to the nearest integer, one
+// line per nonempty bucket in ascending order.
+func histogram(dec *expander.Decomposition) string {
+	var sb strings.Builder
+	sb.WriteString("cluster-size histogram (by power-of-two bucket):\n")
+	hist := map[int]int{}
+	top := 0
+	for _, c := range dec.Clusters {
+		b := bucket(len(c))
+		hist[b]++
+		top = max(top, b)
+	}
+	for b := 1; b <= top; b *= 2 {
+		if hist[b] > 0 {
+			fmt.Fprintf(&sb, "  ~%4d vertices: %d clusters\n", b, hist[b])
+		}
+	}
+	return sb.String()
 }
 
 func bucket(size int) int {

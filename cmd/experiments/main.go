@@ -1,4 +1,4 @@
-// Command experiments runs the derived evaluation suite E1–E12 (one
+// Command experiments runs the derived evaluation suite E1–E16 (one
 // experiment per theorem/lemma of the paper; see DESIGN.md §4) and prints
 // the tables recorded in EXPERIMENTS.md.
 //

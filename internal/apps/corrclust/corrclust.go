@@ -14,8 +14,6 @@ import (
 type Options struct {
 	// Eps is the approximation parameter.
 	Eps float64
-	// Density is the edge-density bound (default 3).
-	Density int
 	// Cfg is the simulator configuration.
 	Cfg congest.Config
 	// Core forwards extra framework options.
@@ -45,7 +43,6 @@ func Approximate(g *graph.Graph, opts Options) (*Result, error) {
 	n := g.N()
 	coreOpts := opts.Core
 	coreOpts.Eps = opts.Eps / 2 // §3.3: ε' = ε/2
-	coreOpts.Density = opts.Density
 	coreOpts.Cfg = opts.Cfg
 
 	sol, err := core.Run(g, coreOpts, func(cluster *graph.Graph, toOld []int) map[int]int64 {

@@ -15,8 +15,6 @@ import (
 type Options struct {
 	// Eps is the edge-cut budget ε.
 	Eps float64
-	// Density is the edge-density bound (default 3).
-	Density int
 	// Cfg is the simulator configuration.
 	Cfg congest.Config
 	// Core forwards extra framework options.
@@ -57,7 +55,6 @@ func Decompose(g *graph.Graph, opts Options) (*Result, error) {
 	n := g.N()
 	coreOpts := opts.Core
 	coreOpts.Eps = opts.Eps / 2
-	coreOpts.Density = opts.Density
 	coreOpts.Cfg = opts.Cfg
 	sol, err := core.Run(g, coreOpts, func(cluster *graph.Graph, toOld []int) map[int]int64 {
 		rng := rand.New(rand.NewSource(opts.Cfg.Seed + int64(toOld[0]) + 1))

@@ -13,8 +13,6 @@ import (
 type Options struct {
 	// Eps is the approximation parameter.
 	Eps float64
-	// Density is the edge-density bound (default 3).
-	Density int
 	// Cfg is the simulator configuration.
 	Cfg congest.Config
 	// Core forwards extra framework options.
@@ -147,7 +145,6 @@ func ApproximateMCM(g *graph.Graph, opts Options) (*Result, error) {
 	epsPrime := lemmaConstant * opts.Eps
 	coreOpts := opts.Core
 	coreOpts.Eps = epsPrime
-	coreOpts.Density = densityOrDefault(opts.Density)
 	coreOpts.Cfg = opts.Cfg
 
 	sol, err := core.Run(gBar, coreOpts, matchSolver)
@@ -166,20 +163,12 @@ func ApproximateMWM(g *graph.Graph, opts Options) (*Result, error) {
 	}
 	coreOpts := opts.Core
 	coreOpts.Eps = opts.Eps
-	coreOpts.Density = densityOrDefault(opts.Density)
 	coreOpts.Cfg = opts.Cfg
 	sol, err := core.Run(g, coreOpts, matchSolver)
 	if err != nil {
 		return nil, err
 	}
 	return assembleResult(g, sol, make([]bool, g.N()), congest.Metrics{})
-}
-
-func densityOrDefault(d int) int {
-	if d == 0 {
-		return 3
-	}
-	return d
 }
 
 // matchSolver is the leader-local matching: exact weighted blossom (or

@@ -25,11 +25,9 @@ type Result struct {
 type Options struct {
 	// Eps is the approximation parameter.
 	Eps float64
-	// Density is the edge-density bound d (default 3, planar).
-	Density int
 	// Cfg is the simulator configuration.
 	Cfg congest.Config
-	// Core forwards extra framework options (ForwardRounds etc.).
+	// Core forwards extra framework options.
 	Core core.Options
 }
 
@@ -39,15 +37,8 @@ func Approximate(g *graph.Graph, opts Options) (*Result, error) {
 	if opts.Eps <= 0 || opts.Eps >= 1 {
 		return nil, fmt.Errorf("maxis: eps must be in (0,1), got %v", opts.Eps)
 	}
-	d := opts.Density
-	if d == 0 {
-		d = 3
-	}
-	// §3.1: ε' = ε/(2d+1).
-	epsPrime := opts.Eps / float64(2*d+1)
 	coreOpts := opts.Core
-	coreOpts.Eps = epsPrime
-	coreOpts.Density = d
+	coreOpts.Eps = opts.Eps / (2*core.PlanarDensity + 1) // §3.1: ε' = ε/(2d+1)
 	coreOpts.Cfg = opts.Cfg
 
 	sol, err := core.Run(g, coreOpts, func(cluster *graph.Graph, toOld []int) map[int]int64 {

@@ -40,14 +40,8 @@ func ApproximateWeighted(g *graph.Graph, weights []int64, opts Options) (*Weight
 			return nil, fmt.Errorf("maxis: negative weight %d on vertex %d", w, v)
 		}
 	}
-	d := opts.Density
-	if d == 0 {
-		d = 3
-	}
-	epsPrime := opts.Eps / float64(2*d+1)
 	coreOpts := opts.Core
-	coreOpts.Eps = epsPrime
-	coreOpts.Density = d
+	coreOpts.Eps = opts.Eps / (2*core.PlanarDensity + 1) // §3.1: ε' = ε/(2d+1)
 	coreOpts.Cfg = opts.Cfg
 	coreOpts.VertexPayload = weights
 

@@ -17,10 +17,10 @@ type Options struct {
 	Cfg congest.Config
 	// Core forwards extra framework options.
 	Core core.Options
-	// MaxCliqueProbe bounds the search for the forbidden clique size s
-	// (default 8).
-	MaxCliqueProbe int
 }
+
+// maxCliqueProbe bounds the search for the forbidden clique size s.
+const maxCliqueProbe = 8
 
 // RejectReason explains why a cluster's vertices rejected.
 type RejectReason int
@@ -68,13 +68,9 @@ func Test(g *graph.Graph, p minor.Property, opts Options) (*Verdict, error) {
 	if opts.Eps <= 0 || opts.Eps >= 1 {
 		return nil, fmt.Errorf("proptest: eps must be in (0,1), got %v", opts.Eps)
 	}
-	probe := opts.MaxCliqueProbe
-	if probe == 0 {
-		probe = 8
-	}
 	n := g.N()
 	verdict := &Verdict{Accepts: make([]bool, n), AllAccept: true}
-	s, ok := p.CliqueNumberBound(probe)
+	s, ok := p.CliqueNumberBound(maxCliqueProbe)
 	if !ok {
 		// The property contains all cliques, hence all graphs (it is
 		// minor-closed): trivial tester, everyone accepts.

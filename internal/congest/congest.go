@@ -33,6 +33,9 @@ func (m Model) String() string {
 // Message is a tuple of integer words exchanged along one edge in one round.
 type Message []int64
 
+// MaxWords is the CONGEST per-message word budget.
+const MaxWords = 8
+
 // Clone returns a copy of m.
 func (m Message) Clone() Message { return append(Message(nil), m...) }
 
@@ -40,8 +43,6 @@ func (m Message) Clone() Message { return append(Message(nil), m...) }
 type Config struct {
 	// Model is CONGEST or LOCAL. Zero value defaults to CONGEST.
 	Model Model
-	// MaxWords is the CONGEST per-message word budget. Zero defaults to 8.
-	MaxWords int
 	// MaxRounds aborts the run when exceeded. Zero defaults to 1 << 20.
 	MaxRounds int
 	// Seed drives all vertex PRNGs.
@@ -69,9 +70,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Model == 0 {
 		c.Model = CONGEST
-	}
-	if c.MaxWords == 0 {
-		c.MaxWords = 8
 	}
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 1 << 20
@@ -505,9 +503,9 @@ func (s *Simulator) checkMessage(sender int, msg Message) {
 	if s.cfg.Model == LOCAL {
 		return
 	}
-	if len(msg) > s.cfg.MaxWords {
+	if len(msg) > MaxWords {
 		panic(fmt.Sprintf("congest: vertex %d sent %d words, CONGEST budget is %d",
-			sender, len(msg), s.cfg.MaxWords))
+			sender, len(msg), MaxWords))
 	}
 	for _, w := range msg {
 		if w > s.wordCap || w < -s.wordCap {

@@ -88,7 +88,7 @@ func TestVertexPortsSortedAndPortOf(t *testing.T) {
 
 func TestCongestRejectsOversizedMessage(t *testing.T) {
 	g := graph.Path(2)
-	sim := NewSimulator(g, Config{Seed: 1, MaxWords: 4})
+	sim := NewSimulator(g, Config{Seed: 1})
 	defer func() {
 		if recover() == nil {
 			t.Error("oversized message should panic in CONGEST mode")
@@ -97,7 +97,7 @@ func TestCongestRejectsOversizedMessage(t *testing.T) {
 	sim.Run(func(v *Vertex) Handler {
 		return RunFuncs{InitFn: func(v *Vertex) {
 			if v.ID() == 0 {
-				v.Send(0, Message{1, 2, 3, 4, 5})
+				v.Send(0, make(Message, MaxWords+1))
 			}
 			v.Halt()
 		}}

@@ -10,7 +10,7 @@
 // O(log n) bits.
 //
 // Messages are tuples of integer words. In CONGEST mode a message may carry
-// at most Config.MaxWords words and each word must satisfy |w| ≤ max(n², 2¹⁶)
+// at most MaxWords (8) words and each word must satisfy |w| ≤ max(n², 2¹⁶)
 // — i.e. a word is Θ(log n) bits — so a message is Θ(log n) bits total.
 // Violations panic: an algorithm that breaks the model is a programming
 // error, not a runtime condition.

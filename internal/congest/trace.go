@@ -16,8 +16,8 @@ import (
 // cannot change any algorithm's outputs or Metrics.
 
 // histBuckets is the number of message-size histogram buckets: exact word
-// counts 0..8 (the CONGEST regime; the default MaxWords is 8), then the
-// coarse LOCAL-regime ranges 9-16, 17-64, 65-256, 257-1024, and >1024.
+// counts 0..MaxWords (the CONGEST regime), then the coarse LOCAL-regime
+// ranges 9-16, 17-64, 65-256, 257-1024, and >1024.
 const histBuckets = 14
 
 // histBucket maps a message word count to its histogram bucket.

@@ -285,7 +285,7 @@ func TestTracingOverheadBounded(t *testing.T) {
 func runRounds(t *testing.T, g *graph.Graph, obs *congest.Observer, words, rounds int) {
 	t.Helper()
 	msg := make([]int64, words)
-	sim := congest.NewSimulator(g, congest.Config{Seed: 1, MaxWords: 16, Obs: obs})
+	sim := congest.NewSimulator(g, congest.Config{Seed: 1, Model: congest.LOCAL, Obs: obs})
 	_, err := sim.Run(func(v *congest.Vertex) congest.Handler {
 		return congest.RunFuncs{
 			InitFn: func(v *congest.Vertex) { v.BroadcastWords(msg...) },

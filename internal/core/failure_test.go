@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -136,16 +137,17 @@ func TestDeterministicTrackOnWeighted(t *testing.T) {
 }
 
 func TestDegreeConditionFailsOnInjectedSparseCluster(t *testing.T) {
-	// A long cycle declared as "one cluster with phi=0.5": the Lemma 2.3
-	// condition deg(v*) >= phi²·|E_i| becomes 2 >= 0.25·40 = 10, which must
+	// A long cycle declared as "one cluster with phi=0.3": the Lemma 2.3
+	// condition deg(v*) >= phi²·|E_i| becomes 2 >= 0.09·40 = 3.6, which must
 	// fail — this is how the property tester detects non-minor-free inputs.
+	// The §2.3 bound b = 26 covers the cycle's diameter 20, so the cluster
+	// passes the diameter check and reaches its leader whole.
 	g := graph.Cycle(40)
-	dec := expander.FromAssignment(g, make([]int, g.N()), 0.9, 0.5)
+	dec := expander.FromAssignment(g, make([]int, g.N()), 0.9, 0.3)
 	sol, err := Run(g, Options{
-		Eps:               dec.Eps,
-		Decomposition:     dec,
-		Cfg:               congest.Config{Seed: 7},
-		SkipDiameterCheck: true,
+		Eps:           dec.Eps,
+		Decomposition: dec,
+		Cfg:           congest.Config{Seed: 7},
 	}, clusterSizeSolver)
 	if err != nil {
 		t.Fatal(err)
@@ -166,12 +168,18 @@ func TestDegreeConditionFailsOnInjectedSparseCluster(t *testing.T) {
 // though every earlier phase fits the limit.
 func TestRunExchangeOverRoundLimitFailsFast(t *testing.T) {
 	g := graph.Grid(4, 4)
-	opts := Options{Eps: 0.4, Cfg: congest.Config{Seed: 1, MaxRounds: 1000}, ForwardRounds: 5000}
-	_, err := Run(g, opts, clusterSizeSolver)
+	opts := Options{Eps: 0.4, Cfg: congest.Config{Seed: 1}}
+	sol, err := Run(g, opts, clusterSizeSolver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := sol.Phases["forward-budget"]
+	opts.Cfg.MaxRounds = 2*budget + 2
+	_, err = Run(g, opts, clusterSizeSolver)
 	if !errors.Is(err, congest.ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
 	}
-	for _, want := range []string{"10003", "1000-round"} {
+	for _, want := range []string{fmt.Sprint(2*budget + 3), fmt.Sprintf("%d-round", 2*budget+2)} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %s", err, want)
 		}

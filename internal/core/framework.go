@@ -65,30 +65,27 @@ const (
 	DistributedDecomposer
 )
 
+// PlanarDensity is the edge-density bound of planar graphs (|E| < 3·|V|),
+// the default Options.Density.
+const PlanarDensity = 3
+
 // Options configures a framework run.
 type Options struct {
 	// Eps is the decomposition parameter ε of Theorem 2.6.
 	Eps float64
 	// Density is the edge-density bound t of the H-minor-free class (the
 	// paper sets ε' = ε/t so that |E^r| ≤ ε·min{|V|, |E|}). Zero defaults
-	// to 3 (planar density).
+	// to PlanarDensity.
 	Density int
 	// Decomposer picks the clustering stage; zero = SequentialDecomposer.
 	Decomposer DecomposerKind
 	// Cfg is the simulator configuration for all message-passing phases.
-	Cfg congest.Config
-	// ForwardRounds overrides the routing budget (0 = automatic: the
-	// theoretical WalkBudget for the decomposition's φ, capped at the
-	// largest cluster's lazy-walk hitting-time bound 8·m·D + 64, because
-	// real clusters have far better conductance than the worst-case
-	// target; see forwardBudget). The exchange takes 2·ForwardRounds + 3
-	// rounds and fails with congest.ErrMaxRounds before its first round
+	// The gather–solve–disseminate exchange takes 2T + 3 rounds, T being
+	// the forward budget that Solution.Phases["forward-budget"] reports
+	// (forwardBudget, or the tree schedule's bound on the Deterministic
+	// track), and fails with congest.ErrMaxRounds before its first round
 	// when that exceeds Cfg.MaxRounds.
-	ForwardRounds int
-	// SkipDiameterCheck disables the §2.3 self-check (it is cheap but
-	// dominates rounds on large low-φ instances; experiments that measure
-	// routing alone may skip it).
-	SkipDiameterCheck bool
+	Cfg congest.Config
 	// Deterministic routes topology and answers over BFS trees toward the
 	// leaders (the Lemma 2.5 / Theorem 2.2 deterministic track) instead of
 	// lazy random walks. Outputs are identical; only the routing schedule
@@ -108,15 +105,15 @@ type Options struct {
 	// Prefix, when non-nil, supplies the diameter check, leader election,
 	// orientation, and routing budget from a Prepare call instead of
 	// simulating them (see the package doc). It must have been prepared
-	// for this graph and decomposition with the same Density,
-	// SkipDiameterCheck, Cfg.Model, Cfg.MaxWords and Cfg.MaxRounds, and the
-	// run must have Cfg.FaultRate == 0; otherwise the run fails.
+	// for this graph and decomposition with the same Density, Cfg.Model and
+	// Cfg.MaxRounds, and the run must have Cfg.FaultRate == 0; otherwise the
+	// run fails.
 	Prefix *Prefix
 }
 
 func (o Options) withDefaults() Options {
 	if o.Density == 0 {
-		o.Density = 3
+		o.Density = PlanarDensity
 	}
 	if o.Decomposer == 0 {
 		o.Decomposer = SequentialDecomposer
@@ -264,7 +261,7 @@ func run(g *graph.Graph, opts Options, injected *expander.Decomposition, solve L
 	// the routing budget only when it will use it.
 	pre := opts.Prefix
 	if pre == nil {
-		pre, err = prepare(g, dec, opts, opts.ForwardRounds == 0 && !opts.Deterministic)
+		pre, err = prepare(g, dec, opts, !opts.Deterministic)
 		if err != nil {
 			return nil, err
 		}
@@ -284,10 +281,9 @@ func run(g *graph.Graph, opts Options, injected *expander.Decomposition, solve L
 	// Phase 5+6: topology gathering and answer dissemination in one
 	// exchange (Lemma 2.4 forward, reversed-walk backward).
 	plan := routing.Plan{
-		Cluster:       dec.Assignment,
-		Leader:        leaders.Leader,
-		ForwardRounds: opts.ForwardRounds,
-		Strategy:      routing.RandomWalk,
+		Cluster:  dec.Assignment,
+		Leader:   leaders.Leader,
+		Strategy: routing.RandomWalk,
 	}
 	if opts.Deterministic {
 		// Lemma 2.5 track: build BFS trees toward the leaders and route
@@ -306,15 +302,13 @@ func run(g *graph.Graph, opts Options, injected *expander.Decomposition, solve L
 		sol.Phases["bfs-forest"] = m.Rounds
 		plan.Strategy = routing.TreeParent
 		plan.Parent = bfs.Parent
-		if plan.ForwardRounds == 0 {
-			maxTokens := 4*opts.Density + 1
-			for _, members := range dec.Clusters {
-				if tb := len(members)*maxTokens + pre.bound + 8; tb > plan.ForwardRounds {
-					plan.ForwardRounds = tb
-				}
+		maxTokens := 4*opts.Density + 1
+		for _, members := range dec.Clusters {
+			if tb := len(members)*maxTokens + pre.bound + 8; tb > plan.ForwardRounds {
+				plan.ForwardRounds = tb
 			}
 		}
-	} else if plan.ForwardRounds == 0 {
+	} else {
 		plan.ForwardRounds = pre.budget
 	}
 	sol.Phases["forward-budget"] = plan.ForwardRounds
@@ -379,13 +373,11 @@ func run(g *graph.Graph, opts Options, injected *expander.Decomposition, solve L
 // phases produced.
 type Prefix struct {
 	// The inputs the prefix was prepared for (see check).
-	g                 *graph.Graph
-	injected          *expander.Decomposition
-	density           int
-	skipDiameterCheck bool
-	model             congest.Model
-	maxWords          int
-	maxRounds         int
+	g         *graph.Graph
+	injected  *expander.Decomposition
+	density   int
+	model     congest.Model
+	maxRounds int
 
 	dec     *expander.Decomposition // after the §2.3 singleton resets
 	marked  []bool
@@ -405,9 +397,9 @@ type prefixPhase struct {
 
 // Prepare simulates the snapshot-invariant phases of a framework run on g
 // with the clustering dec, for reuse via Options.Prefix by any number of
-// later runs on the same inputs. opts supplies Density, SkipDiameterCheck
-// and Cfg (Model, MaxWords, MaxRounds); Cfg.Obs is ignored — the
-// phases report into a private observer whose report the runs replay.
+// later runs on the same inputs. opts supplies Density and Cfg (Model,
+// MaxRounds); Cfg.Obs is ignored — the phases report into a private
+// observer whose report the runs replay.
 // Preparing with Cfg.FaultRate > 0 is an error: the drop coins depend on
 // the seed, so faulty phases are not snapshot-invariant.
 func Prepare(g *graph.Graph, dec *expander.Decomposition, opts Options) (*Prefix, error) {
@@ -437,15 +429,13 @@ func Prepare(g *graph.Graph, dec *expander.Decomposition, opts Options) (*Prefix
 func prepare(g *graph.Graph, dec *expander.Decomposition, opts Options, withBudget bool) (*Prefix, error) {
 	n := g.N()
 	pre := &Prefix{
-		g:                 g,
-		injected:          dec,
-		density:           opts.Density,
-		skipDiameterCheck: opts.SkipDiameterCheck,
-		model:             opts.Cfg.Model,
-		maxWords:          opts.Cfg.MaxWords,
-		maxRounds:         opts.Cfg.MaxRounds,
-		marked:            make([]bool, n),
-		bound:             diameterBound(dec.Phi, n),
+		g:         g,
+		injected:  dec,
+		density:   opts.Density,
+		model:     opts.Cfg.Model,
+		maxRounds: opts.Cfg.MaxRounds,
+		marked:    make([]bool, n),
+		bound:     diameterBound(dec.Phi, n),
 	}
 	if n == 0 {
 		pre.dec = dec
@@ -453,24 +443,22 @@ func prepare(g *graph.Graph, dec *expander.Decomposition, opts Options, withBudg
 	}
 
 	// §2.3 diameter self-check; marked clusters reset to singletons.
-	if !opts.SkipDiameterCheck {
-		marked, m, err := primitives.DiameterCheck(g, opts.Cfg, dec.Assignment, pre.bound)
-		if err != nil {
-			return nil, err
-		}
-		pre.phases = append(pre.phases, prefixPhase{"diameter-check", m})
-		pre.marked = marked
-		if anyTrue(marked) {
-			assign := append(primitives.ClusterAssignment(nil), dec.Assignment...)
-			nextID := maxInt(assign) + 1
-			for v, mk := range marked {
-				if mk {
-					assign[v] = nextID
-					nextID++
-				}
+	marked, m, err := primitives.DiameterCheck(g, opts.Cfg, dec.Assignment, pre.bound)
+	if err != nil {
+		return nil, err
+	}
+	pre.phases = append(pre.phases, prefixPhase{"diameter-check", m})
+	pre.marked = marked
+	if anyTrue(marked) {
+		assign := append(primitives.ClusterAssignment(nil), dec.Assignment...)
+		nextID := maxInt(assign) + 1
+		for v, mk := range marked {
+			if mk {
+				assign[v] = nextID
+				nextID++
 			}
-			dec = expander.FromAssignment(g, assign, dec.Eps, dec.Phi)
 		}
+		dec = expander.FromAssignment(g, assign, dec.Eps, dec.Phi)
 	}
 	pre.dec = dec
 
@@ -506,10 +494,8 @@ func (p *Prefix) check(g *graph.Graph, dec *expander.Decomposition, opts Options
 		return fmt.Errorf("core: prefix was prepared for another decomposition")
 	case p.density != opts.Density:
 		return fmt.Errorf("core: prefix was prepared with density %d, run has %d", p.density, opts.Density)
-	case p.skipDiameterCheck != opts.SkipDiameterCheck:
-		return fmt.Errorf("core: prefix was prepared with SkipDiameterCheck=%t, run has %t", p.skipDiameterCheck, opts.SkipDiameterCheck)
-	case p.model != opts.Cfg.Model || p.maxWords != opts.Cfg.MaxWords || p.maxRounds != opts.Cfg.MaxRounds:
-		return fmt.Errorf("core: prefix was prepared under another simulator model, word cap or round cap")
+	case p.model != opts.Cfg.Model || p.maxRounds != opts.Cfg.MaxRounds:
+		return fmt.Errorf("core: prefix was prepared under another simulator model or round cap")
 	case opts.Cfg.FaultRate > 0:
 		return fmt.Errorf("core: a prefix cannot serve a run with fault rate %v", opts.Cfg.FaultRate)
 	}

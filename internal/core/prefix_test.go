@@ -150,43 +150,6 @@ func TestPrefixEquivalence(t *testing.T) {
 	}
 }
 
-// TestPrefixSkipDiameterCheck covers a prefix prepared without the §2.3
-// self-check, through Run with an injected decomposition.
-func TestPrefixSkipDiameterCheck(t *testing.T) {
-	g := graph.TriangulatedGrid(6, 6)
-	dec, err := expander.Decompose(g, 0.3, expander.Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := func(cluster *graph.Graph, toOld []int) map[int]int64 {
-		out := make(map[int]int64, len(toOld))
-		for _, v := range toOld {
-			out[v] = int64(cluster.N())
-		}
-		return out
-	}
-	opts := core.Options{Eps: dec.Eps, Decomposition: dec, SkipDiameterCheck: true, Cfg: congest.Config{Seed: 4}}
-	pre, err := core.Prepare(g, dec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := core.Run(g, opts, size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Prefix = pre
-	cached, err := core.Run(g, opts, size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, cached) {
-		t.Errorf("Solution differs with a prefix:\nlive   %+v\ncached %+v", live, cached)
-	}
-	if _, ok := cached.Phases["diameter-check"]; ok {
-		t.Error("a prefix prepared with SkipDiameterCheck recorded a diameter-check phase")
-	}
-}
-
 // TestPrefixMismatchErrors checks that a prefix refuses every input it was
 // not prepared for, and that a faulty configuration cannot prepare one.
 func TestPrefixMismatchErrors(t *testing.T) {
@@ -219,8 +182,7 @@ func TestPrefixMismatchErrors(t *testing.T) {
 		{"another graph", run(other, matching.Options{Cfg: cfg, Core: core.Options{Decomposition: otherDec, Prefix: pre}}), "another graph"},
 		{"another decomposition", run(g, matching.Options{Cfg: cfg, Core: core.Options{Decomposition: sameContent, Prefix: pre}}), "another decomposition"},
 		{"no decomposition", run(g, matching.Options{Cfg: cfg, Core: core.Options{Prefix: pre}}), "another decomposition"},
-		{"another density", run(g, matching.Options{Density: 4, Cfg: cfg, Core: core.Options{Decomposition: dec, Prefix: pre}}), "density"},
-		{"skip diameter check", run(g, matching.Options{Cfg: cfg, Core: core.Options{Decomposition: dec, Prefix: pre, SkipDiameterCheck: true}}), "SkipDiameterCheck"},
+		{"another density", run(g, matching.Options{Cfg: cfg, Core: core.Options{Density: 4, Decomposition: dec, Prefix: pre}}), "density"},
 		{"another round cap", run(g, matching.Options{Cfg: congest.Config{Seed: 1, MaxRounds: 1 << 19}, Core: core.Options{Decomposition: dec, Prefix: pre}}), "round cap"},
 		{"faults", run(g, matching.Options{Cfg: congest.Config{Seed: 1, FaultRate: 0.1}, Core: core.Options{Decomposition: dec, Prefix: pre}}), "fault rate"},
 	} {

@@ -23,7 +23,7 @@ import (
 // refBestSparseCut is the reference cut search: the three spectral trials
 // run one after another, each drawing its start vector just before its own
 // power iteration, then the BFS sweep and the two nibbles.
-func refBestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool) (map[int]bool, float64) {
+func refBestSparseCut(sub graph.G, iters int, rng *rand.Rand) (map[int]bool, float64) {
 	n := sub.N()
 	if n < 2 {
 		return nil, math.Inf(1)
@@ -33,12 +33,7 @@ func refBestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool
 	}
 	bestPhi := math.Inf(1)
 	var best map[int]bool
-	trials := 3
-	if deterministic {
-		rng = rand.New(rand.NewSource(12345))
-		trials = 1
-	}
-	for trial := 0; trial < trials; trial++ {
+	for trial := 0; trial < 3; trial++ {
 		scores := conductance.FiedlerScores(sub, iters, rng)
 		s, phi := conductance.SweepCut(sub, scores)
 		if phi < bestPhi {
@@ -59,9 +54,6 @@ func refBestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool
 	}
 	epsPush := 1.0 / (20 * float64(sub.M()+1))
 	seeds := []int{rng.Intn(n), rng.Intn(n)}
-	if deterministic {
-		seeds = []int{0, n / 2}
-	}
 	for _, seed := range seeds {
 		s, phi := conductance.Nibble(sub, seed, 0.1, epsPush)
 		if s != nil && len(s) > 0 && len(s) < n && phi < bestPhi {
@@ -135,7 +127,7 @@ func TestExactSparseCutPinned(t *testing.T) {
 	check := func(name string, g graph.G) {
 		t.Helper()
 		rng, ref := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
-		gs, gphi := bestSparseCut(g, 300, rng, false)
+		gs, gphi := bestSparseCut(g, rng)
 		var ws map[int]bool
 		wphi := math.Inf(1)
 		if g.N() >= 2 {
@@ -246,24 +238,24 @@ func cutSearchPieces() []struct {
 
 func TestBestSparseCutPinned(t *testing.T) {
 	for _, tc := range cutSearchPieces() {
-		for _, deterministic := range []bool{false, true} {
-			for _, seed := range []int64{1, 2022} {
-				name := fmt.Sprintf("%s/det=%t/seed=%d", tc.name, deterministic, seed)
-				t.Run(name, func(t *testing.T) {
-					got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-					gs, gphi := bestSparseCut(tc.g, 300, got, deterministic)
-					ws, wphi := refBestSparseCut(tc.g, 300, want, deterministic)
-					if math.Float64bits(gphi) != math.Float64bits(wphi) {
-						t.Errorf("φ = %v, reference %v", gphi, wphi)
-					}
-					if !maps.Equal(gs, ws) {
-						t.Errorf("cut of %d vertices differs from the reference cut of %d", len(gs), len(ws))
-					}
-					if g, w := got.Int63(), want.Int63(); g != w {
-						t.Errorf("caller's PRNG then draws %d, reference %d", g, w)
-					}
-				})
-			}
+		for _, seed := range []int64{1, 2022} {
+			// The det=false segment keeps each subtest's name stable across
+			// the search's history, so past results stay comparable.
+			name := fmt.Sprintf("%s/det=false/seed=%d", tc.name, seed)
+			t.Run(name, func(t *testing.T) {
+				got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				gs, gphi := bestSparseCut(tc.g, got)
+				ws, wphi := refBestSparseCut(tc.g, spectralIters, want)
+				if math.Float64bits(gphi) != math.Float64bits(wphi) {
+					t.Errorf("φ = %v, reference %v", gphi, wphi)
+				}
+				if !maps.Equal(gs, ws) {
+					t.Errorf("cut of %d vertices differs from the reference cut of %d", len(gs), len(ws))
+				}
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Errorf("caller's PRNG then draws %d, reference %d", g, w)
+				}
+			})
 		}
 	}
 }

@@ -165,7 +165,7 @@ func DistributedDecompose(g *graph.Graph, cfg congest.Config, eps float64) (*Dec
 		centers = append(centers, center)
 	}
 	slices.Sort(centers)
-	refine := newDecomposer(g, phi, Options{Phi: phi, Seed: cfg.Seed}.withDefaults())
+	refine := newDecomposer(g, phi, Options{Phi: phi, Seed: cfg.Seed})
 	for _, center := range centers {
 		for _, verts := range refine.solve(clusters[center]) {
 			final.addCluster(verts)

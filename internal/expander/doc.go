@@ -3,7 +3,7 @@
 //
 // An (ε, φ) expander decomposition removes at most an ε fraction of the
 // edges so that every remaining connected component has conductance at least
-// φ. Three constructions are provided:
+// φ. Two constructions are provided:
 //
 //   - Decompose: a recursive sparse-cut decomposition. It plays
 //     the role of the Chang–Saranurak FOCS'20 construction, which this
@@ -23,18 +23,11 @@
 //     refinement of each low-diameter cluster, mirroring how the paper's
 //     framework lets cluster leaders do heavy local computation.
 //
-//   - DistributedNibble: a message-passing PageRank-Nibble decomposer
-//     (Andersen–Chung–Lang push process as real CONGEST communication)
-//     that repeatedly carves sweep-cut clusters; it demonstrates the
-//     nibble approach end-to-end alongside the MPX+refine pipeline.
-//
 // Decomposition.Verify checks the contract against the definitions of
 // Section 2 using exact conductance for small clusters and, otherwise, a
 // Cheeger estimate from 300 power iterations that is not a certificate.
 //
-// When a congest.Observer is attached to the Config, the distributed
-// constructions report their stage structure as named phases:
-// DistributedDecompose as "mpx" and "refine" (refinement is leader-local
-// and contributes zero rounds), DistributedNibble as repeated
-// "elect-leaders" / "push" / "sweep" carve iterations.
+// When a congest.Observer is attached to the Config, DistributedDecompose
+// reports its stage structure as the named phases "mpx" and "refine"
+// (refinement is leader-local and contributes zero rounds).
 package expander

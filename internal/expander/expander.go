@@ -128,15 +128,9 @@ func PhiTarget(eps float64, m int) float64 {
 type Options struct {
 	// Phi overrides the conductance target (0 means PhiTarget(eps, m)).
 	Phi float64
-	// SpectralIters is the power-iteration budget per cut search (0 = 300).
-	SpectralIters int
-	// Seed drives the spectral estimation.
+	// Seed drives the spectral estimation. A fixed Seed gives a fixed
+	// decomposition.
 	Seed int64
-	// Deterministic removes all randomness from the cut search (fixed
-	// power-iteration start vector, fixed nibble seeds): the output is then
-	// identical for every Seed — the Theorem 2.2 deterministic-construction
-	// track at the sequential level.
-	Deterministic bool
 	// Workers bounds the decomposer's goroutine pool: the recursion's
 	// independent pieces fan out to at most Workers goroutines (0 or 1 runs
 	// them all on the caller). Each piece's randomness is derived by hashing
@@ -146,12 +140,9 @@ type Options struct {
 	Workers int
 }
 
-func (o Options) withDefaults() Options {
-	if o.SpectralIters == 0 {
-		o.SpectralIters = 300
-	}
-	return o
-}
+// spectralIters is the power-iteration budget of one spectral trial of the
+// cut search.
+const spectralIters = 300
 
 // Decompose computes an (ε, φ) expander decomposition of g with
 // φ = PhiTarget(eps, |E|) by recursive sparse cuts: any piece whose best
@@ -166,7 +157,6 @@ func Decompose(g *graph.Graph, eps float64, opts Options) (*Decomposition, error
 	if eps <= 0 || eps >= 1 {
 		return nil, fmt.Errorf("expander: eps must be in (0,1), got %v", eps)
 	}
-	opts = opts.withDefaults()
 	phi := opts.Phi
 	if phi == 0 {
 		phi = PhiTarget(eps, g.M())
@@ -219,7 +209,7 @@ func (d *Decomposition) addCluster(verts []int) {
 
 // bestSparseCut searches for the lowest-conductance cut of sub: exactly
 // (conductance.ExactCut) for pieces of at most 14 vertices, otherwise via
-// spectral sweeps from a few random starts plus a BFS-order sweep and two
+// spectral sweeps from three random starts plus a BFS-order sweep and two
 // PageRank-Nibble runs. Returns the cut (as a local-vertex set) and its
 // conductance.
 //
@@ -230,12 +220,11 @@ func (d *Decomposition) addCluster(verts []int) {
 // so Options.Workers remains the way to use more. The result is that of
 // running the search step by step, to the bit, by three rules. All
 // randomness is drawn first, on the calling goroutine and in the sequential
-// order: every trial's start vector, then the two nibble seeds (none in
-// deterministic mode, which leaves rng untouched). A trial reads only sub and
-// the shared Fiedler state and writes only its own candidate slot. The
-// winner is picked by scanning the candidates in the sequential order with a
-// strict <.
-func bestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool) (map[int]bool, float64) {
+// order: every trial's start vector, then the two nibble seeds. A trial
+// reads only sub and the shared Fiedler state and writes only its own
+// candidate slot. The winner is picked by scanning the candidates in the
+// sequential order with a strict <.
+func bestSparseCut(sub graph.G, rng *rand.Rand) (map[int]bool, float64) {
 	n := sub.N()
 	if n < 2 {
 		return nil, math.Inf(1)
@@ -243,24 +232,15 @@ func bestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool) (
 	if n <= 14 {
 		return conductance.ExactCut(sub)
 	}
-	trials := 3
-	if deterministic {
-		// A fixed-seed PRNG makes the power iteration reproducible without
-		// any caller-provided randomness.
-		rng = rand.New(rand.NewSource(12345))
-		trials = 1
-	}
+	const trials = 3
 	f := conductance.NewFiedler(sub)
 	vecs := make([]float64, 2*n*trials) // per trial: start vector, scratch
 	for t := 0; t < trials; t++ {
 		f.Start(vecs[2*t*n:(2*t+1)*n], rng)
 	}
 	// PageRank-Nibble local clustering (the Spielman–Teng style primitive
-	// behind nibble decompositions); deterministic mode uses fixed seeds.
-	seeds := [2]int{0, n / 2}
-	if !deterministic {
-		seeds = [2]int{rng.Intn(n), rng.Intn(n)}
-	}
+	// behind nibble decompositions) from two random seeds.
+	seeds := [2]int{rng.Intn(n), rng.Intn(n)}
 
 	// The candidates, in the order the winner is picked: the spectral
 	// trials, the BFS sweep and the two nibbles.
@@ -271,17 +251,15 @@ func bestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool) (
 	}
 	trial := func(t int) {
 		x, y := vecs[2*t*n:(2*t+1)*n], vecs[(2*t+1)*n:(2*t+2)*n]
-		c.cut[t], c.phi[t] = conductance.SweepCut(sub, f.Scores(x, y, iters))
+		c.cut[t], c.phi[t] = conductance.SweepCut(sub, f.Scores(x, y, spectralIters))
 	}
-	if trials > 1 {
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			for t := 1; t < trials; t++ {
-				trial(t)
-			}
-		}()
-	}
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		for t := 1; t < trials; t++ {
+			trial(t)
+		}
+	}()
 	trial(0)
 	// BFS sweep from an arbitrary vertex as a combinatorial fallback.
 	dist, _ := graph.BFSOf(sub, 0)
@@ -300,8 +278,7 @@ func bestSparseCut(sub graph.G, iters int, rng *rand.Rand, deterministic bool) (
 	}
 	c.wg.Wait()
 
-	// Every sweep cut is a proper nonempty subset; a nibble's may not be,
-	// and a deterministic search leaves trials 1 and 2 empty.
+	// Every sweep cut is a proper nonempty subset; a nibble's may not be.
 	bestPhi := math.Inf(1)
 	var best map[int]bool
 	for i, s := range c.cut {

@@ -370,27 +370,6 @@ func TestQuickDecomposeInvariants(t *testing.T) {
 	}
 }
 
-func TestDeterministicCutsSeedIndependent(t *testing.T) {
-	g := graph.Grid(7, 7)
-	shape := func(seed int64) string {
-		d, err := Decompose(g, 0.999, Options{Seed: seed, Phi: 0.15, Deterministic: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := ""
-		for _, c := range d.Clusters {
-			out += "|"
-			for _, v := range c {
-				out += string(rune('a' + v%26))
-			}
-		}
-		return out
-	}
-	if shape(1) != shape(99) {
-		t.Error("deterministic decomposition differs across seeds")
-	}
-}
-
 // The paper's hypercube remark: decompositions of the hypercube need
 // φ = O(1/log n); verify our decomposer still meets its contract there.
 func TestDecomposeHypercube(t *testing.T) {

@@ -73,12 +73,6 @@ func TestDecomposeGolden(t *testing.T) {
 			opts:     Options{Seed: 2022, Phi: 0.15},
 			clusters: 16, removed: 100, fp: 0x7cd50cc24424a73d,
 		},
-		// Deterministic track (Theorem 2.2): seed-independent output.
-		{
-			name: "grid16x16-deterministic", g: graph.Grid(16, 16), eps: 0.25,
-			opts:     Options{Seed: 99, Deterministic: true},
-			clusters: 1, removed: 0, fp: 0x5177aa8a268ecc24,
-		},
 	}
 	// E7-style weighted planar instance (n=36, W=10, eps 0.3).
 	rng := rand.New(rand.NewSource(2022))

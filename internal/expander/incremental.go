@@ -79,7 +79,6 @@ func DecomposeIncremental(prev *Decomposition, ov *graph.Overlay, eps float64, o
 		return nil, nil, nil, fmt.Errorf("expander: previous decomposition covers %d vertices, overlay base has %d",
 			len(prev.Assignment), baseN)
 	}
-	opts = opts.withDefaults()
 	phi := prev.Phi
 	if opts.Phi != 0 {
 		phi = opts.Phi
@@ -190,7 +189,7 @@ func clusterCertified(g *graph.Graph, verts []int, phi float64, opts Options) bo
 		return conductance.ExactConductance(sub) >= phi-1e-12
 	}
 	rng := rand.New(rand.NewSource(pieceSeed(opts.Seed, verts)))
-	cut, cutPhi := bestSparseCut(sub, opts.SpectralIters, rng, opts.Deterministic)
+	cut, cutPhi := bestSparseCut(sub, rng)
 	return cut == nil || cutPhi >= phi
 }
 

@@ -47,8 +47,7 @@ type decomposer struct {
 	sem chan struct{}
 }
 
-// newDecomposer prepares the recursion over g at conductance target phi;
-// opts must already carry its defaults.
+// newDecomposer prepares the recursion over g at conductance target phi.
 func newDecomposer(g *graph.Graph, phi float64, opts Options) *decomposer {
 	p := &decomposer{
 		g:       g,
@@ -111,7 +110,7 @@ func (p *decomposer) solve(verts []int) [][]int {
 		return [][]int{verts}
 	}
 	rng := rand.New(rand.NewSource(pieceSeed(p.opts.Seed, verts)))
-	cut, cutPhi := bestSparseCut(sub, p.opts.SpectralIters, rng, p.opts.Deterministic)
+	cut, cutPhi := bestSparseCut(sub, rng)
 	if cutPhi >= p.phi || cut == nil {
 		return [][]int{verts}
 	}

@@ -2,11 +2,9 @@ package expander
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
-	"expandergap/internal/conductance"
 	"expandergap/internal/graph"
 )
 
@@ -26,20 +24,15 @@ type Stats struct {
 	Singletons int
 	// MaxDiameter is the largest induced-cluster diameter.
 	MaxDiameter int
-	// MinConductance is the smallest per-cluster conductance: exact for
-	// clusters of at most conductance.MaxExactN vertices, and otherwise a
-	// Cheeger estimate after 200 power iterations, not a certified lower
-	// bound (see conductance.EstimateBounds).
-	MinConductance float64
 }
 
-// ComputeStats measures d against g.
-func (d *Decomposition) ComputeStats(g *graph.Graph, rng *rand.Rand) Stats {
+// ComputeStats measures d's structure against g. Verify checks the cluster
+// conductances.
+func (d *Decomposition) ComputeStats(g *graph.Graph) Stats {
 	st := Stats{
-		Clusters:       len(d.Clusters),
-		CutEdges:       len(d.Removed),
-		CutFraction:    d.CutFraction(g),
-		MinConductance: 2,
+		Clusters:    len(d.Clusters),
+		CutEdges:    len(d.Removed),
+		CutFraction: d.CutFraction(g),
 	}
 	for i, c := range d.Clusters {
 		st.Sizes = append(st.Sizes, len(c))
@@ -47,18 +40,8 @@ func (d *Decomposition) ComputeStats(g *graph.Graph, rng *rand.Rand) Stats {
 			st.Singletons++
 			continue
 		}
-		sub := d.ClusterView(g, i)
-		if dd := sub.Diameter(); dd > st.MaxDiameter {
+		if dd := d.ClusterView(g, i).Diameter(); dd > st.MaxDiameter {
 			st.MaxDiameter = dd
-		}
-		var phi float64
-		if sub.N() <= conductance.MaxExactN {
-			phi = conductance.ExactConductance(sub)
-		} else {
-			phi = conductance.EstimateBounds(sub, 200, rng).Lower
-		}
-		if phi < st.MinConductance {
-			st.MinConductance = phi
 		}
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(st.Sizes)))
@@ -66,17 +49,14 @@ func (d *Decomposition) ComputeStats(g *graph.Graph, rng *rand.Rand) Stats {
 		st.LargestSize = st.Sizes[0]
 		st.MedianSize = st.Sizes[len(st.Sizes)/2]
 	}
-	if st.MinConductance > 1.5 {
-		st.MinConductance = 0 // no multi-vertex clusters
-	}
 	return st
 }
 
 // String renders a one-line summary.
 func (s Stats) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "clusters=%d cut=%d (%.3f) largest=%d median=%d singletons=%d maxDiam=%d minΦ=%.4f",
+	fmt.Fprintf(&sb, "clusters=%d cut=%d (%.3f) largest=%d median=%d singletons=%d maxDiam=%d",
 		s.Clusters, s.CutEdges, s.CutFraction, s.LargestSize, s.MedianSize,
-		s.Singletons, s.MaxDiameter, s.MinConductance)
+		s.Singletons, s.MaxDiameter)
 	return sb.String()
 }

@@ -8,15 +8,15 @@ import (
 	"expandergap/internal/expander"
 )
 
-// E16DecomposerComparison runs all three decomposition constructions —
-// the sequential recursive sparse cut (the framework's default), the
-// distributed MPX+refine pipeline, and the distributed PageRank-Nibble —
-// side by side on planar families, reporting cut fractions, cluster
-// structure, and message-passing rounds where applicable.
+// E16DecomposerComparison runs both decomposition constructions — the
+// sequential recursive sparse cut (the framework's default) and the
+// distributed MPX+refine pipeline — side by side on planar families,
+// reporting cut fractions, cluster structure, and message-passing rounds
+// where applicable.
 func E16DecomposerComparison(sizes []int, eps float64, seed int64) Outcome {
 	t := &Table{
 		ID:      "E16",
-		Title:   "decomposer comparison: sequential vs MPX+refine vs distributed nibble",
+		Title:   "decomposer comparison: sequential vs MPX+refine",
 		Columns: []string{"family", "n", "decomposer", "cut-frac", "clusters", "connected", "rounds"},
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -44,16 +44,10 @@ func E16DecomposerComparison(sizes []int, eps float64, seed int64) Outcome {
 			}
 			results = append(results, result{"mpx+refine", mpx, m1.Rounds})
 
-			nib, m2, err := expander.DistributedNibble(g, congest.Config{Seed: seed}, eps)
-			if err != nil {
-				panic(fmt.Sprintf("E16 nibble: %v", err))
-			}
-			results = append(results, result{"nibble", nib, m2.Rounds})
-
 			for _, r := range results {
 				rep := r.dec.Verify(g, rng)
 				allConnected = allConnected && rep.Connected
-				// Randomized constructions get 2× headroom on ε.
+				// The randomized construction gets 2× headroom on ε.
 				limit := eps
 				if r.name != "sequential" {
 					limit = 2 * eps

@@ -19,12 +19,9 @@ func TestLargeGridDeterministicTrack(t *testing.T) {
 	}
 	g := graph.Grid(32, 32)
 	res, err := maxis.Approximate(g, maxis.Options{
-		Eps: 0.3,
-		Cfg: congest.Config{Seed: 31},
-		Core: core.Options{
-			Deterministic:     true,
-			SkipDiameterCheck: true,
-		},
+		Eps:  0.3,
+		Cfg:  congest.Config{Seed: 31},
+		Core: core.Options{Deterministic: true},
 	})
 	if err != nil {
 		t.Fatal(err)
