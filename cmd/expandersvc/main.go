@@ -2,7 +2,7 @@
 // it loads a graph once (text edge list, binary CSR, or zero-copy mmap),
 // computes its expander decomposition once, and serves approximate-matching
 // / MIS / clustering / walk-routing queries over HTTP against that cached
-// snapshot, with an admission-controlled run pool, request coalescing,
+// snapshot, with admission-controlled run slots, request coalescing,
 // per-(epoch, params) encoded-response caching under a byte-capped LRU,
 // hot snapshot swap via POST /reload and POST /mutate, and graceful
 // shutdown. When the admission queue is full, new canonical work is rejected
@@ -12,9 +12,8 @@
 // Usage:
 //
 //	expandersvc -graph er.bin [-mmap] [-addr :8080] [-eps 0.3] [-seed 1]
-//	            [-decworkers 1] [-batchwindow 2ms] [-runpool 0]
-//	            [-queuedepth 0] [-cachebytes 268435456] [-pprof]
-//	            [-shutdowntimeout 10s]
+//	            [-decworkers 1] [-runpool 0] [-queuedepth 0]
+//	            [-cachebytes 268435456] [-pprof] [-shutdowntimeout 10s]
 //
 // Endpoints (full schemas in API.md):
 //
@@ -52,9 +51,8 @@ func main() {
 	epsFlag := flag.Float64("eps", 0.3, "decomposition edge-removal budget ε")
 	seedFlag := flag.Int64("seed", 1, "decomposition seed")
 	decWorkers := flag.Int("decworkers", 1, "decomposer goroutine pool size (the decomposition is the same at every value)")
-	batchWindow := flag.Duration("batchwindow", 2*time.Millisecond, "how long a flight leader waits for coalescing followers")
-	runPool := flag.Int("runpool", 0, "canonical-run pool workers (0 = min(GOMAXPROCS, NumCPU))")
-	queueDepth := flag.Int("queuedepth", 0, "admission queue depth before 429s (0 = 4x pool workers)")
+	runPool := flag.Int("runpool", 0, "canonical-run slots: runs executed concurrently (0 = min(GOMAXPROCS, NumCPU))")
+	queueDepth := flag.Int("queuedepth", 0, "admission queue depth before 429s (0 = 4x run slots)")
 	cacheBytes := flag.Int64("cachebytes", 0, "result cache capacity in bytes before LRU eviction (0 = 256 MiB)")
 	pprofFlag := flag.Bool("pprof", false, "expose /debug/pprof/* runtime profiling endpoints")
 	shutdownTimeout := flag.Duration("shutdowntimeout", 10*time.Second, "graceful drain budget on SIGINT/SIGTERM")
@@ -71,11 +69,10 @@ func main() {
 			Path: *graphFlag, Mmap: *mmapFlag,
 			Eps: *epsFlag, Seed: *seedFlag, DecWorkers: *decWorkers,
 		},
-		BatchWindow: *batchWindow,
-		RunPool:     *runPool,
-		QueueDepth:  *queueDepth,
-		CacheBytes:  *cacheBytes,
-		Log:         logger,
+		RunPool:    *runPool,
+		QueueDepth: *queueDepth,
+		CacheBytes: *cacheBytes,
+		Log:        logger,
 	})
 	if err != nil {
 		logger.Fatalf("startup: %v", err)

@@ -3,7 +3,6 @@ package serve
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // flight is one in-progress canonical run that concurrent requests with
@@ -17,19 +16,20 @@ type flight struct {
 }
 
 // batcher coalesces concurrent same-key requests into one run per key.
-// The first arrival becomes the flight leader; it optionally waits for the
-// batch window so closely-following requests can join, runs the canonical
-// computation once, and publishes the result to every member. Because the
-// run is keyed purely on (epoch, family, params), the batched result is
-// bit-identical to what each member would have computed alone.
+// The first arrival becomes the flight leader; it runs the canonical
+// computation once and publishes the result to every member. The flight is
+// registered before the run and removed after it, so every same-key
+// request that arrives while the run waits for a slot or executes joins
+// it. Because the run is keyed purely on (epoch, family, params), the
+// batched result is bit-identical to what each member would have computed
+// alone.
 type batcher struct {
 	mu      sync.Mutex
 	flights map[string]*flight
-	window  time.Duration
 }
 
-func newBatcher(window time.Duration) *batcher {
-	return &batcher{flights: make(map[string]*flight), window: window}
+func newBatcher() *batcher {
+	return &batcher{flights: make(map[string]*flight)}
 }
 
 // do runs (or joins) the flight for key. It returns the shared result, the
@@ -49,9 +49,6 @@ func (b *batcher) do(key string, run func() (*encResult, error)) (res *encResult
 	b.flights[key] = f
 	b.mu.Unlock()
 
-	if b.window > 0 {
-		time.Sleep(b.window)
-	}
 	f.res, f.err = run()
 
 	b.mu.Lock()

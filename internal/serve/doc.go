@@ -24,9 +24,9 @@
 // approximate matching, approximate maximum independent set, low-diameter
 // clustering, and random-walk routing. Each family has one canonical run
 // per (epoch, parameters) key. Concurrent requests for the same key
-// coalesce into a single simulator run (a "flight"; an optional batch
-// window holds the first arrival briefly so followers can join), and the
-// finished result is cached keyed on (epoch, family, parameters) — cache
+// coalesce into a single simulator run (a "flight": every same-key request
+// that arrives while the run waits for a slot or executes joins it), and
+// the finished result is cached keyed on (epoch, family, parameters) — cache
 // entries die with their epoch at swap time, never by timeout. Because the
 // batched run is the canonical run, a coalesced result is bit-identical to
 // what each request would have computed sequentially; requests that only
@@ -55,21 +55,23 @@
 //
 // Canonical runs are multi-phase CONGEST simulations — seconds to hours of
 // CPU, not microseconds — so they are admitted like batch jobs, not HTTP
-// handlers. A bounded run pool (default min(GOMAXPROCS, NumCPU) workers
-// over a FIFO admission queue) executes every canonical run; only flight
-// leaders submit to it. When the queue is full the request is rejected
-// immediately with 429 + Retry-After (a structured JSON error carrying the
-// same estimate), so distinct-key bursts throttle cleanly instead of
-// oversubscribing the simulator. Cache hits and coalesced followers never
-// touch the pool: saturation affects only genuinely new work.
+// handlers. A run pool of bounded run slots (default min(GOMAXPROCS,
+// NumCPU)) over a FIFO admission queue admits every canonical run, which
+// then executes on its flight leader's request goroutine; only flight
+// leaders submit to it, and the pool starts no goroutines of its own. When
+// the queue is full the request is rejected immediately with 429 +
+// Retry-After (a structured JSON error carrying the same estimate), so
+// distinct-key bursts throttle cleanly instead of oversubscribing the
+// simulator. Cache hits and coalesced followers never touch the pool:
+// saturation affects only genuinely new work.
 //
 // The cache stores the canonical result's *encoded* JSON bytes alongside
-// the Result (encoded once by the flight leader, inside its pool slot, via
-// a manual encoder pinned byte-identical to encoding/json). A cache hit or
-// coalesced response is then a header write plus one pooled-buffer copy —
-// no per-vertex re-encoding, zero allocations at steady state. The cache
-// is bounded by bytes-accounted LRU eviction on top of the epoch-death
-// invalidation rule.
+// the Result (encoded once by the flight leader, inside its run slot, with
+// encoding/json). A cache hit or coalesced response is then a header write
+// plus the hand-written envelope (pinned byte-identical to encoding/json)
+// around one pooled-buffer copy — no per-vertex re-encoding, zero
+// allocations at steady state. The cache is bounded by bytes-accounted LRU
+// eviction on top of the epoch-death invalidation rule.
 //
 // See DESIGN.md §3.14–3.15 for the architecture and API.md for the wire
 // format.

@@ -14,7 +14,7 @@ import (
 
 func TestMutateBasic(t *testing.T) {
 	path := writeTestGraph(t, 24)
-	srv, ts := newTestServer(t, path, 0)
+	srv, ts := newTestServer(t, path)
 
 	// Seed the cache so we can prove the swap invalidated it.
 	before, _ := postQuery(t, ts.URL, "mis", `{}`)
@@ -71,7 +71,7 @@ func TestMutateBasic(t *testing.T) {
 }
 
 func TestMutateFull(t *testing.T) {
-	_, ts := newTestServer(t, writeTestGraph(t, 24), 0)
+	_, ts := newTestServer(t, writeTestGraph(t, 24))
 	out := postJSON(t, ts.URL+"/mutate",
 		`{"ops": [{"op": "-", "u": 0, "v": 1}], "full": true}`, http.StatusOK)
 	if out["incremental"] != false {
@@ -86,7 +86,7 @@ func TestMutateFull(t *testing.T) {
 }
 
 func TestMutateErrors(t *testing.T) {
-	srv, ts := newTestServer(t, writeTestGraph(t, 24), 0)
+	srv, ts := newTestServer(t, writeTestGraph(t, 24))
 
 	resp, err := http.Get(ts.URL + "/mutate")
 	if err != nil {
@@ -133,7 +133,7 @@ func TestMutateErrors(t *testing.T) {
 // evolving state the server maintains.
 func TestMutateChurnTrace(t *testing.T) {
 	path := writeTestGraph(t, 24)
-	srv, ts := newTestServer(t, path, 0)
+	srv, ts := newTestServer(t, path)
 
 	g, err := graph.LoadFile(path)
 	if err != nil {
@@ -177,7 +177,7 @@ func TestMutateChurnTrace(t *testing.T) {
 // monotone epochs, and no torn snapshots — every response's (epoch, n) pair
 // matches what the mutation stream built for that epoch. Run with -race.
 func TestMutateQueryTorture(t *testing.T) {
-	srv, ts := newTestServer(t, writeTestGraph(t, 24), 0)
+	srv, ts := newTestServer(t, writeTestGraph(t, 24))
 
 	// Each batch adds one vertex wired to vertex 0, so epoch e serves
 	// exactly n = 24 + (e-1) vertices: the tearing detector.

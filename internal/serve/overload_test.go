@@ -13,10 +13,10 @@ import (
 	"time"
 )
 
-// overloadServer builds a server with a single-worker, depth-1 run pool
+// overloadServer builds a server with a single-slot, depth-1 run pool
 // whose canonical runs block on the returned gate: each token sent to the
-// gate releases exactly one run. That lets the tests hold the pool
-// deliberately, reliably full.
+// gate releases exactly one run. That lets the tests hold a run, or the
+// whole pool, deliberately and reliably.
 func overloadServer(t *testing.T) (*Server, *httptest.Server, chan struct{}) {
 	t.Helper()
 	gate := make(chan struct{})
@@ -32,6 +32,18 @@ func overloadServer(t *testing.T) (*Server, *httptest.Server, chan struct{}) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return srv, ts, gate
+}
+
+// flightOccupancy returns the largest occupancy (leader + followers) of
+// the server's open flights, 0 when none is open.
+func flightOccupancy(srv *Server) int64 {
+	srv.batch.mu.Lock()
+	defer srv.batch.mu.Unlock()
+	var most int64
+	for _, f := range srv.batch.flights {
+		most = max(most, f.joined.Load())
+	}
+	return most
 }
 
 // release feeds n tokens to the gate, unblocking n canonical runs.
@@ -136,16 +148,7 @@ func TestOverloadBackpressure(t *testing.T) {
 			followerBatch = qr.BatchSize
 		}
 	}()
-	waitFor(t, "follower joined", func() bool {
-		srv.batch.mu.Lock()
-		defer srv.batch.mu.Unlock()
-		for _, f := range srv.batch.flights {
-			if f.joined.Load() >= 2 {
-				return true
-			}
-		}
-		return false
-	})
+	waitFor(t, "follower joined", func() bool { return flightOccupancy(srv) >= 2 })
 
 	// Cache hits keep being served while the pool is full, each within 5 s.
 	for i := 0; i < 5; i++ {

@@ -2,8 +2,8 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,58 +11,48 @@ import (
 
 // ErrSaturated is returned by runPool.submit when the admission queue is
 // full: the server is already running as many canonical simulator runs as
-// it has leaders, with a full FIFO of runs waiting behind them. Callers
+// it has slots, with a full FIFO of runs waiting behind them. Callers
 // translate it into 429 + Retry-After instead of queueing unboundedly.
 var ErrSaturated = errors.New("run pool saturated")
 
-// poolJob is one admitted canonical run waiting for (or on) a worker.
-type poolJob struct {
-	fn       func()
-	enqueued time.Time
-	done     chan struct{}
-}
-
-// runPool is the bounded executor for canonical simulator runs. Flight
-// leaders submit the run; coalesced followers and cache hits never touch
-// the pool, so saturation throttles only genuinely new work. Admission is
-// a bounded FIFO: submit either enqueues (and blocks the leader until a
-// worker has run the job) or fails immediately with ErrSaturated.
+// runPool admits canonical simulator runs. Flight leaders submit the run;
+// coalesced followers and cache hits never touch the pool, so saturation
+// throttles only genuinely new work. The pool starts no goroutines: a run
+// executes on its caller's goroutine once it holds one of `workers` slots.
+// A caller that finds every slot busy waits in a FIFO of at most `depth`,
+// or fails at once with ErrSaturated when the FIFO is full; a finishing run
+// hands its slot straight to the oldest waiter, so a newcomer cannot jump
+// the line.
 //
 // A canonical run is a multi-phase CONGEST simulation — CPU-seconds to
-// CPU-hours, not microseconds — so the pool admits runs like batch jobs:
-// at most `workers` execute concurrently and at most `depth` wait behind
-// them, and everything beyond that is explicit backpressure.
+// CPU-hours, not microseconds — so the pool admits runs like batch jobs,
+// and everything beyond its bounds is explicit backpressure.
 type runPool struct {
-	jobs    chan *poolJob
-	stop    chan struct{}
-	stopped sync.Once
 	workers int
+	depth   int
 
-	queued    atomic.Int64 // jobs admitted but not yet started
-	running   atomic.Int64 // jobs currently executing
+	mu      sync.Mutex
+	free    int             // idle run slots
+	waiters []chan struct{} // callers waiting for a slot, oldest first; closed on handoff
+
+	queued    atomic.Int64 // runs admitted but not yet started
+	running   atomic.Int64 // runs currently executing
 	submitted atomic.Int64 // admission attempts (admitted + rejected)
 	completed atomic.Int64
 	rejected  atomic.Int64
-	waitNs    atomic.Int64 // total time admitted jobs spent queued
+	waitNs    atomic.Int64 // total time admitted runs spent queued
 	maxWaitNs atomic.Int64
-	runNs     atomic.Int64 // total worker execution time
+	runNs     atomic.Int64 // total run execution time
 }
 
-// defaultPoolWorkers is the leader count used when Config.RunPool is 0:
+// defaultPoolWorkers is the slot count used when Config.RunPool is 0:
 // one canonical run per schedulable CPU, never more.
 func defaultPoolWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if n := runtime.NumCPU(); n < w {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 }
 
-// newRunPool starts `workers` leader goroutines over a FIFO of capacity
-// `depth`. Zero or negative values select the defaults (workers:
+// newRunPool returns a pool of `workers` run slots over a FIFO of
+// capacity `depth`. Zero or negative values select the defaults (workers:
 // min(GOMAXPROCS, NumCPU); depth: 4x workers).
 func newRunPool(workers, depth int) *runPool {
 	if workers <= 0 {
@@ -71,62 +61,60 @@ func newRunPool(workers, depth int) *runPool {
 	if depth <= 0 {
 		depth = 4 * workers
 	}
-	p := &runPool{
-		jobs:    make(chan *poolJob, depth),
-		stop:    make(chan struct{}),
-		workers: workers,
-	}
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
+	return &runPool{workers: workers, depth: depth, free: workers}
 }
 
-func (p *runPool) worker() {
-	for {
-		select {
-		case <-p.stop:
-			return
-		case j := <-p.jobs:
-			p.queued.Add(-1)
-			wait := time.Since(j.enqueued).Nanoseconds()
-			p.waitNs.Add(wait)
-			for {
-				m := p.maxWaitNs.Load()
-				if wait <= m || p.maxWaitNs.CompareAndSwap(m, wait) {
-					break
-				}
-			}
-			p.running.Add(1)
-			t0 := time.Now()
-			j.fn()
-			p.runNs.Add(time.Since(t0).Nanoseconds())
-			p.running.Add(-1)
-			p.completed.Add(1)
-			close(j.done)
-		}
-	}
-}
-
-// submit admits fn to the pool and blocks until a worker has executed it.
-// When the FIFO is full it returns ErrSaturated without blocking.
+// submit runs fn on the caller's goroutine once a run slot is free,
+// waiting in FIFO order behind earlier callers. When every slot is busy and
+// the FIFO is full it returns ErrSaturated without blocking.
 func (p *runPool) submit(fn func()) error {
 	p.submitted.Add(1)
-	j := &poolJob{fn: fn, enqueued: time.Now(), done: make(chan struct{})}
-	select {
-	case p.jobs <- j:
+	enqueued := time.Now()
+	p.mu.Lock()
+	switch {
+	case p.free > 0:
+		p.free--
+		p.mu.Unlock()
+	case len(p.waiters) < p.depth:
+		ready := make(chan struct{})
+		p.waiters = append(p.waiters, ready)
 		p.queued.Add(1)
+		p.mu.Unlock()
+		<-ready
 	default:
+		p.mu.Unlock()
 		p.rejected.Add(1)
 		return ErrSaturated
 	}
-	<-j.done
+	wait := time.Since(enqueued).Nanoseconds()
+	p.waitNs.Add(wait)
+	storeMax(&p.maxWaitNs, wait)
+	p.running.Add(1)
+	defer p.finish(time.Now())
+	fn()
 	return nil
+}
+
+// finish records a run that started at t0 and passes its slot to the
+// oldest waiter, or frees it when nobody waits.
+func (p *runPool) finish(t0 time.Time) {
+	p.runNs.Add(time.Since(t0).Nanoseconds())
+	p.running.Add(-1)
+	p.completed.Add(1)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.waiters) == 0 {
+		p.free++
+		return
+	}
+	close(p.waiters[0])
+	p.waiters = slices.Delete(p.waiters, 0, 1)
+	p.queued.Add(-1)
 }
 
 // retryAfter estimates how long a rejected caller should back off: the
 // current backlog (queued + running) times the observed mean run duration,
-// divided across the workers, clamped to [1s, 60s]. With no completed runs
+// divided across the slots, clamped to [1s, 60s]. With no completed runs
 // yet it falls back to 1s.
 func (p *runPool) retryAfter() time.Duration {
 	meanRun := time.Second
@@ -135,19 +123,17 @@ func (p *runPool) retryAfter() time.Duration {
 	}
 	backlog := p.queued.Load() + p.running.Load()
 	est := time.Duration(backlog) * meanRun / time.Duration(p.workers)
-	if est < time.Second {
-		est = time.Second
-	}
-	if est > time.Minute {
-		est = time.Minute
-	}
-	return est
+	return min(max(est, time.Second), time.Minute)
 }
 
-// close stops the workers. Only call after the HTTP listener has drained:
-// jobs still queued at close time would block their submitters forever.
-func (p *runPool) close() {
-	p.stopped.Do(func() { close(p.stop) })
+// storeMax raises a to v when v is larger.
+func storeMax(a *atomic.Int64, v int64) {
+	for {
+		m := a.Load()
+		if v <= m || a.CompareAndSwap(m, v) {
+			return
+		}
+	}
 }
 
 // poolStatz is the /statz JSON shape of the pool counters.
@@ -168,7 +154,7 @@ type poolStatz struct {
 func (p *runPool) statz() poolStatz {
 	st := poolStatz{
 		Workers:        p.workers,
-		QueueCapacity:  cap(p.jobs),
+		QueueCapacity:  p.depth,
 		Queued:         p.queued.Load(),
 		Running:        p.running.Load(),
 		Submitted:      p.submitted.Load(),
@@ -178,16 +164,10 @@ func (p *runPool) statz() poolStatz {
 		QueueWaitMaxMs: float64(p.maxWaitNs.Load()) / 1e6,
 		RunMs:          float64(p.runNs.Load()) / 1e6,
 	}
-	// waitNs is recorded at dequeue, so the mean's denominator must count
-	// dequeued jobs (still-running ones included), not just completed.
-	if dequeued := st.Completed + st.Running; dequeued > 0 {
-		st.QueueWaitMeanMs = st.QueueWaitMs / float64(dequeued)
+	// waitNs is recorded when a run starts, so the mean's denominator must
+	// count started runs (still-running ones included), not just completed.
+	if started := st.Completed + st.Running; started > 0 {
+		st.QueueWaitMeanMs = st.QueueWaitMs / float64(started)
 	}
 	return st
-}
-
-// String makes pool saturation errors self-describing in logs.
-func (p *runPool) String() string {
-	return fmt.Sprintf("runPool{workers=%d depth=%d queued=%d running=%d}",
-		p.workers, cap(p.jobs), p.queued.Load(), p.running.Load())
 }

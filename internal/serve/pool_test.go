@@ -21,11 +21,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestPoolBoundedConcurrency submits more jobs than workers and asserts
-// the observed concurrency never exceeds the worker count.
+// TestPoolBoundedConcurrency submits more jobs than run slots and asserts
+// the observed concurrency never exceeds the slot count.
 func TestPoolBoundedConcurrency(t *testing.T) {
 	p := newRunPool(2, 8)
-	defer p.close()
 	var cur, max atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -64,11 +63,10 @@ func TestPoolBoundedConcurrency(t *testing.T) {
 	}
 }
 
-// TestPoolSaturation fills one worker and a depth-1 queue, then asserts
+// TestPoolSaturation fills one run slot and a depth-1 queue, then asserts
 // the next submit is rejected immediately with ErrSaturated.
 func TestPoolSaturation(t *testing.T) {
 	p := newRunPool(1, 1)
-	defer p.close()
 	gate := make(chan struct{})
 	done := make(chan error, 2)
 	// First job occupies the worker.
@@ -103,11 +101,10 @@ func TestPoolSaturation(t *testing.T) {
 	}
 }
 
-// TestPoolFIFO pins admission order: with a single worker, queued jobs run
+// TestPoolFIFO pins admission order: with a single run slot, queued jobs run
 // in the order they were admitted.
 func TestPoolFIFO(t *testing.T) {
 	p := newRunPool(1, 4)
-	defer p.close()
 	gate := make(chan struct{})
 	var order []int
 	var mu sync.Mutex
@@ -143,12 +140,10 @@ func TestPoolFIFO(t *testing.T) {
 // TestPoolDefaults checks the zero-config sizing rules.
 func TestPoolDefaults(t *testing.T) {
 	p := newRunPool(0, 0)
-	defer p.close()
 	if p.workers != defaultPoolWorkers() {
 		t.Fatalf("default workers = %d, want %d", p.workers, defaultPoolWorkers())
 	}
-	if cap(p.jobs) != 4*p.workers {
-		t.Fatalf("default depth = %d, want %d", cap(p.jobs), 4*p.workers)
+	if p.depth != 4*p.workers {
+		t.Fatalf("default depth = %d, want %d", p.depth, 4*p.workers)
 	}
-	p.close() // idempotent
 }

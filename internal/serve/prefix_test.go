@@ -64,7 +64,7 @@ func hasPrefix(t *testing.T, srv *Server) bool {
 // Run with -race: the prefix is shared read-only across query goroutines.
 func TestPrefixOncePerSnapshot(t *testing.T) {
 	path := writeTestGraph(t, 40)
-	srv, ts := newTestServer(t, path, 0)
+	srv, ts := newTestServer(t, path)
 	if hasPrefix(t, srv) {
 		t.Fatal("fresh snapshot already has a prefix")
 	}
@@ -95,7 +95,7 @@ func TestPrefixOncePerSnapshot(t *testing.T) {
 		t.Fatal("snapshot has no prefix after framework queries")
 	}
 
-	_, seq := newTestServer(t, path, 0)
+	_, seq := newTestServer(t, path)
 	for i, q := range queries {
 		want, err := postResult(seq.URL, q.family, q.body)
 		if err != nil {
@@ -135,7 +135,7 @@ func TestPrefixOncePerSnapshot(t *testing.T) {
 // run reused the snapshot's prefix, carries the same answer and the same
 // accounting as the library call without a prefix.
 func TestPrefixedRunMatchesLiveRun(t *testing.T) {
-	srv, ts := newTestServer(t, writeTestGraph(t, 40), 0)
+	srv, ts := newTestServer(t, writeTestGraph(t, 40))
 	snap := srv.cur.Load()
 	const seed = 5
 	for _, family := range []string{"matching", "mis", "clustering"} {

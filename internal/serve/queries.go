@@ -28,7 +28,7 @@ type Params struct {
 	// Levels is the KPR chopping depth (clustering family only; default 3).
 	Levels int `json:"levels,omitempty"`
 	// Budget overrides the walk forward budget (walkroute family only;
-	// 0 = the snapshot's default).
+	// 0 = the snapshot's default; at most 8n+256).
 	Budget int `json:"budget,omitempty"`
 	// Deterministic selects the tree-routing framework track.
 	Deterministic bool `json:"deterministic,omitempty"`
@@ -57,6 +57,9 @@ func (p Params) validate(family string, n int) error {
 	}
 	if p.Levels < 0 || p.Budget < 0 {
 		return fmt.Errorf("levels and budget must be non-negative")
+	}
+	if hi := maxWalkBudget(n); p.Budget > hi {
+		return fmt.Errorf("budget %d exceeds 8n+256 = %d", p.Budget, hi)
 	}
 	for _, v := range p.selection() {
 		if v < 0 || v >= n {

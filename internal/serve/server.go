@@ -19,13 +19,9 @@ import (
 type Config struct {
 	// Spec builds the initial snapshot.
 	Spec Spec
-	// BatchWindow is how long a flight leader waits for followers before
-	// running (0 = run immediately; coalescing then only catches requests
-	// arriving during the run itself).
-	BatchWindow time.Duration
-	// RunPool is the number of canonical runs executed concurrently
-	// (0 = min(GOMAXPROCS, NumCPU)). Cache hits and coalesced followers
-	// never occupy a pool slot.
+	// RunPool is the number of run slots: canonical runs executed
+	// concurrently (0 = min(GOMAXPROCS, NumCPU)). Cache hits and coalesced
+	// followers never occupy a slot.
 	RunPool int
 	// QueueDepth bounds the run pool's FIFO admission queue (0 = 4x the
 	// pool size). When the queue is full, new canonical runs are rejected
@@ -58,12 +54,7 @@ type famStats struct {
 func (f *famStats) recordFlight(occupancy int64) {
 	f.flights.Add(1)
 	f.batchSum.Add(occupancy)
-	for {
-		m := f.batchMax.Load()
-		if occupancy <= m || f.batchMax.CompareAndSwap(m, occupancy) {
-			return
-		}
-	}
+	storeMax(&f.batchMax, occupancy)
 }
 
 // Server is the resident query server: one atomically-swappable snapshot,
@@ -98,7 +89,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		cache: newResultCache(cfg.CacheBytes),
-		batch: newBatcher(cfg.BatchWindow),
+		batch: newBatcher(),
 		pool:  newRunPool(cfg.RunPool, cfg.QueueDepth),
 		fam:   make(map[string]*famStats),
 		start: time.Now(),
@@ -130,13 +121,12 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Epoch returns the current snapshot epoch.
 func (s *Server) Epoch() int64 { return s.epoch.Load() }
 
-// Close retires the current snapshot and stops the run pool. Call after
-// the HTTP listener has drained (http.Server.Shutdown): the drain order is
-// listener first (no new requests), then the pool (no queued runs left to
-// strand), then the snapshot, which is freed — and its mmap unmapped —
-// once the last in-flight request releases it.
+// Close retires the current snapshot. Call after the HTTP listener has
+// drained (http.Server.Shutdown), so no new requests arrive. Runs still
+// running or waiting for a slot finish on their requests' goroutines; the
+// snapshot is freed — and its mmap unmapped — once the last in-flight
+// request releases it.
 func (s *Server) Close() {
-	s.pool.close()
 	if snap := s.cur.Swap(nil); snap != nil {
 		snap.retire()
 	}
@@ -323,12 +313,18 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(body) > 0 {
-		if err := json.Unmarshal(body, &spec); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
 			writeError(w, http.StatusBadRequest, "bad reload spec: %v", err)
 			return
 		}
 	}
 	snap, err := s.Reload(spec)
+	if errors.Is(err, errShutdown) {
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "reload failed: %v", err)
 		return
@@ -396,9 +392,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var led bool
 		// The flight key carries the epoch so that requests pinned to
 		// different snapshots can never share a run. Only the flight leader
-		// touches the run pool: followers wait on the flight, cache hits
-		// above never get here, so pool saturation throttles exactly the
-		// requests that would start a new canonical run.
+		// touches the run pool, and runs the canonical run on its own
+		// goroutine once it holds a slot: followers wait on the flight,
+		// cache hits above never get here, so pool saturation throttles
+		// exactly the requests that would start a new canonical run.
 		enc, occupancy, led, err = s.batch.do(fmt.Sprintf("e%d|%s", snap.Epoch, key), func() (*encResult, error) {
 			var (
 				e    *encResult

@@ -44,12 +44,12 @@ func writeTestGraph(t *testing.T, n int) string {
 	return path
 }
 
-func newTestServer(t *testing.T, path string, window time.Duration) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, path string) (*Server, *httptest.Server) {
 	t.Helper()
 	// Deep admission queue: these tests exercise serving semantics, not
 	// backpressure (overload_test.go owns that), so no request should ever
 	// see 429 here even on a single-CPU host under -race.
-	srv, err := New(Config{Spec: Spec{Path: path, Eps: 0.3, Seed: 1}, BatchWindow: window, QueueDepth: 256})
+	srv, err := New(Config{Spec: Spec{Path: path, Eps: 0.3, Seed: 1}, QueueDepth: 256})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -112,7 +112,7 @@ func postQuery(t *testing.T, base, family, body string) (*QueryResponse, int) {
 }
 
 func TestHealthz(t *testing.T) {
-	_, ts := newTestServer(t, writeTestGraph(t, 24), 0)
+	_, ts := newTestServer(t, writeTestGraph(t, 24))
 	out := getJSON(t, ts.URL+"/healthz", http.StatusOK)
 	if out["status"] != "ok" || out["epoch"].(float64) != 1 {
 		t.Fatalf("healthz = %v", out)
@@ -129,7 +129,7 @@ func TestHealthz(t *testing.T) {
 
 func TestStatz(t *testing.T) {
 	path := writeTestGraph(t, 24)
-	_, ts := newTestServer(t, path, 0)
+	_, ts := newTestServer(t, path)
 	out := getJSON(t, ts.URL+"/statz", http.StatusOK)
 	if out["epoch"].(float64) != 1 {
 		t.Fatalf("statz epoch = %v", out["epoch"])
@@ -151,7 +151,7 @@ func TestStatz(t *testing.T) {
 }
 
 func TestQueryFamilies(t *testing.T) {
-	_, ts := newTestServer(t, writeTestGraph(t, 24), 0)
+	_, ts := newTestServer(t, writeTestGraph(t, 24))
 	for _, family := range Families() {
 		qr, status := postQuery(t, ts.URL, family, `{"seed": 3}`)
 		if status != http.StatusOK {
@@ -200,7 +200,7 @@ func TestQueryFamilies(t *testing.T) {
 }
 
 func TestQueryErrors(t *testing.T) {
-	_, ts := newTestServer(t, writeTestGraph(t, 24), 0)
+	_, ts := newTestServer(t, writeTestGraph(t, 24))
 	cases := []struct {
 		family, body string
 		status       int
@@ -211,6 +211,7 @@ func TestQueryErrors(t *testing.T) {
 		{"matching", `{"eps": -0.5}`, http.StatusBadRequest},
 		{"matching", `{"vertices": [99]}`, http.StatusBadRequest},
 		{"walkroute", `{"budget": -1}`, http.StatusBadRequest},
+		{"walkroute", `{"budget": 449}`, http.StatusBadRequest}, // 8n+256 = 448 on the 24-ring
 		{"matching", `not json`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
@@ -229,7 +230,7 @@ func TestQueryErrors(t *testing.T) {
 }
 
 func TestQueryProjection(t *testing.T) {
-	_, ts := newTestServer(t, writeTestGraph(t, 24), 0)
+	_, ts := newTestServer(t, writeTestGraph(t, 24))
 	qr, status := postQuery(t, ts.URL, "matching", `{"vertices": [5, 0, 5, 2]}`)
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
@@ -261,7 +262,7 @@ func TestQueryProjection(t *testing.T) {
 func TestReload(t *testing.T) {
 	g1 := writeTestGraph(t, 24)
 	g2 := writeTestGraph(t, 40)
-	srv, ts := newTestServer(t, g1, 0)
+	srv, ts := newTestServer(t, g1)
 
 	// Method and body errors first.
 	resp, err := http.Get(ts.URL + "/reload")
@@ -304,6 +305,38 @@ func TestReload(t *testing.T) {
 	}
 }
 
+// TestReloadRejectsBadSpecs checks that /reload refuses an unknown field
+// (400) and an ε outside (0,1) (422) without advancing the epoch, and that
+// New refuses such an ε too.
+func TestReloadRejectsBadSpecs(t *testing.T) {
+	path := writeTestGraph(t, 24)
+	srv, ts := newTestServer(t, path)
+	cases := []struct {
+		body   string
+		status int
+	}{
+		{`{"paht": "x.bin"}`, http.StatusBadRequest},
+		{`{"eps": 1.5}`, http.StatusUnprocessableEntity},
+		{`{"eps": -0.2}`, http.StatusUnprocessableEntity},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(ts.URL+"/reload", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("POST /reload %s: status %d, want %d", c.body, resp.StatusCode, c.status)
+		}
+	}
+	if got := srv.Epoch(); got != 1 {
+		t.Errorf("rejected reloads advanced the epoch to %d", got)
+	}
+	if _, err := New(Config{Spec: Spec{Path: path, Eps: 1.5}}); err == nil {
+		t.Error("New with eps 1.5 succeeded, want an error")
+	}
+}
+
 // TestSwapTorture races queries against hot reloads between two graphs and
 // asserts the serving contract: zero failed requests, no torn snapshots
 // (every response's epoch and graph size belong together), and per-client
@@ -311,7 +344,7 @@ func TestReload(t *testing.T) {
 func TestSwapTorture(t *testing.T) {
 	g1 := writeTestGraph(t, 24)
 	g2 := writeTestGraph(t, 40)
-	srv, ts := newTestServer(t, g1, 0)
+	srv, ts := newTestServer(t, g1)
 
 	// nByEpoch records the graph size each epoch was built from: odd epochs
 	// serve g1 (24 vertices), even ones g2 (40).
@@ -446,14 +479,14 @@ func TestCacheHitLatencyUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestCoalescingDeterminism fires concurrent identical requests into a wide
-// batch window and asserts (a) they coalesce into a shared flight and (b)
-// the batched result is bit-identical to a sequential run of the same
-// params on a fresh server — for every family.
+// TestCoalescingDeterminism holds each family's canonical run on the gate
+// until concurrent identical requests have all joined its flight, then
+// asserts (a) they shared one batch of exactly that size and (b) the batched
+// result is bit-identical to a sequential run of the same params on a fresh
+// server.
 func TestCoalescingDeterminism(t *testing.T) {
-	path := writeTestGraph(t, 24)
-	_, batched := newTestServer(t, path, 150*time.Millisecond)
-	_, sequential := newTestServer(t, path, 0)
+	batchedSrv, batched, gate := overloadServer(t)
+	_, sequential := newTestServer(t, writeTestGraph(t, 24))
 
 	for _, family := range Families() {
 		const concurrent = 6
@@ -470,16 +503,19 @@ func TestCoalescingDeterminism(t *testing.T) {
 				}
 			}(i)
 		}
+		waitFor(t, "all requests joined the flight", func() bool {
+			return flightOccupancy(batchedSrv) == concurrent
+		})
+		release(gate, 1)
 		wg.Wait()
 
-		var maxBatch int64
 		var canonical []byte
 		for i, qr := range results {
 			if qr == nil {
 				t.Fatalf("%s: request %d failed", family, i)
 			}
-			if qr.BatchSize > maxBatch {
-				maxBatch = qr.BatchSize
+			if qr.BatchSize != concurrent {
+				t.Fatalf("%s: request %d saw batch size %d, want %d", family, i, qr.BatchSize, concurrent)
 			}
 			b, _ := json.Marshal(qr.Result)
 			if canonical == nil {
@@ -487,9 +523,6 @@ func TestCoalescingDeterminism(t *testing.T) {
 			} else if !bytes.Equal(canonical, b) {
 				t.Fatalf("%s: batched members returned different results", family)
 			}
-		}
-		if maxBatch < 2 {
-			t.Fatalf("%s: no coalescing observed (max batch size %d)", family, maxBatch)
 		}
 
 		seq, status := postQuery(t, sequential.URL, family, body)
@@ -507,7 +540,7 @@ func TestCoalescingDeterminism(t *testing.T) {
 // TestDeterministicTrack covers the deterministic=true variants (tree
 // routing for walkroute, deterministic framework track for the others).
 func TestDeterministicTrack(t *testing.T) {
-	_, ts := newTestServer(t, writeTestGraph(t, 24), 0)
+	_, ts := newTestServer(t, writeTestGraph(t, 24))
 	for _, family := range Families() {
 		qr, status := postQuery(t, ts.URL, family, `{"deterministic": true}`)
 		if status != http.StatusOK {
@@ -538,6 +571,37 @@ func TestServerClose(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("statz after Close: status %d, want 503", resp.StatusCode)
 	}
+	postJSON(t, ts.URL+"/reload", ``, http.StatusServiceUnavailable)
 	// Close is idempotent.
 	srv.Close()
+}
+
+// TestCloseFinishesWaitingRuns holds one canonical run on the gate with a
+// second waiting for its slot, closes the server, and requires both runs to
+// finish: Close must not strand an admitted run.
+func TestCloseFinishesWaitingRuns(t *testing.T) {
+	srv, ts, gate := overloadServer(t)
+	statuses := make(chan int, 2)
+	for i, seed := range []int{400, 401} {
+		go func() {
+			_, status := postQuery(t, ts.URL, "mis", fmt.Sprintf(`{"seed": %d}`, seed))
+			statuses <- status
+		}()
+		waitFor(t, "pool occupancy", func() bool {
+			return srv.pool.running.Load() == 1 && srv.pool.queued.Load() == int64(i)
+		})
+	}
+	srv.Close()
+	go release(gate, 2)
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case status := <-statuses:
+			if status != http.StatusOK {
+				t.Fatalf("run %d after Close: status %d, want 200", i, status)
+			}
+		case <-timeout:
+			t.Fatalf("%d of 2 runs finished within 10s of Close", i)
+		}
+	}
 }

@@ -23,7 +23,8 @@ type Spec struct {
 	// heap. The file must outlive the mapping: it stays open/mapped until
 	// the snapshot is retired AND the last request using it finishes.
 	Mmap bool `json:"mmap"`
-	// Eps is the decomposition edge-removal budget ε.
+	// Eps is the decomposition edge-removal budget ε, in (0,1)
+	// (0 = 0.3).
 	Eps float64 `json:"eps"`
 	// Seed drives the decomposer.
 	Seed int64 `json:"seed"`
@@ -33,7 +34,7 @@ type Spec struct {
 }
 
 func (s Spec) withDefaults() Spec {
-	if s.Eps <= 0 || s.Eps >= 1 {
+	if s.Eps == 0 {
 		s.Eps = 0.3
 	}
 	if s.Seed == 0 {
@@ -59,8 +60,8 @@ type Snapshot struct {
 	// Dec is the cached expander decomposition every query amortizes.
 	Dec *expander.Decomposition
 	// Leader maps each vertex to its cluster's leader: the member with
-	// maximum intra-cluster degree, lowest ID on ties (the §2.3
-	// convention).
+	// maximum intra-cluster degree, lowest ID on ties (computeLeaders).
+	// walkroute routes to it and every result's per_cluster names it.
 	Leader []int
 	// WalkBudget is the default forward budget for walk-routing queries:
 	// the theoretical WalkBudget(φ, n) capped at 8n+256 (real clusters
@@ -100,6 +101,9 @@ func BuildSnapshot(spec Spec, epoch int64) (*Snapshot, error) {
 	spec = spec.withDefaults()
 	if spec.Path == "" {
 		return nil, fmt.Errorf("serve: snapshot spec has no graph path")
+	}
+	if spec.Eps <= 0 || spec.Eps >= 1 {
+		return nil, fmt.Errorf("serve: eps must be in (0,1), got %v", spec.Eps)
 	}
 	t0 := time.Now()
 	var (
@@ -189,8 +193,10 @@ func (s *Snapshot) release() {
 func (s *Snapshot) retire() { s.release() }
 
 // computeLeaders elects, sequentially at build time, the max-intra-cluster-
-// degree member (lowest ID on ties) of every cluster — the same (degree,
-// ID) order §2.3's message-passing election uses.
+// degree member (lowest ID on ties) of every cluster. §2.3's
+// message-passing election (primitives.ElectLeaders) ranks by the same
+// degree but breaks ties by the larger ID, so on a tie the vertex that
+// gathers and solves a cluster in a framework run can differ from this one.
 func computeLeaders(g *graph.Graph, dec *expander.Decomposition) []int {
 	n := g.N()
 	inDeg := make([]int, n)
@@ -217,9 +223,10 @@ func computeLeaders(g *graph.Graph, dec *expander.Decomposition) []int {
 }
 
 func defaultWalkBudget(phi float64, n int) int {
-	b := routing.WalkBudget(phi, n)
-	if hi := 8*n + 256; b > hi {
-		b = hi
-	}
-	return b
+	return min(routing.WalkBudget(phi, n), maxWalkBudget(n))
 }
+
+// maxWalkBudget caps a walkroute forward budget on an n-vertex graph: the
+// exchange takes about two rounds per budget step whether or not any
+// token still walks, so the cap bounds how long one query holds a run slot.
+func maxWalkBudget(n int) int { return 8*n + 256 }
