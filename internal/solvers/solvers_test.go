@@ -1,7 +1,9 @@
 package solvers
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -404,5 +406,81 @@ func TestDoubleTorusGenerator(t *testing.T) {
 	}
 	if !g.Connected() {
 		t.Error("double torus should be connected")
+	}
+}
+
+// greedyIndependentSetScan is the earlier GreedyIndependentSet, which scans
+// every vertex for each pick (O(n²)); it stays as the oracle of
+// TestGreedyIndependentSetMatchesScan.
+func greedyIndependentSetScan(g *graph.Graph) []int {
+	n := g.N()
+	alive := make([]bool, n)
+	deg := make([]int, n)
+	for v := 0; v < n; v++ {
+		alive[v] = true
+		deg[v] = g.Degree(v)
+	}
+	remaining := n
+	var out []int
+	for remaining > 0 {
+		// Min-degree alive vertex.
+		pick, pickDeg := -1, 1<<30
+		for v := 0; v < n; v++ {
+			if alive[v] && deg[v] < pickDeg {
+				pick, pickDeg = v, deg[v]
+			}
+		}
+		out = append(out, pick)
+		kill := []int{pick}
+		g.ForEachNeighbor(pick, func(u, _ int) {
+			if alive[u] {
+				kill = append(kill, u)
+			}
+		})
+		for _, v := range kill {
+			alive[v] = false
+			remaining--
+			g.ForEachNeighbor(v, func(u, _ int) {
+				if alive[u] {
+					deg[u]--
+				}
+			})
+		}
+	}
+	return out
+}
+
+// The bucketed greedy picks the same vertices in the same order as the scan
+// it replaced, on random, planar and tie-heavy graphs.
+func TestGreedyIndependentSetMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	graphs := map[string]*graph.Graph{
+		"empty":     graph.NewBuilder(7).Graph(),
+		"K1":        graph.Complete(1),
+		"K6":        graph.Complete(6),
+		"star":      graph.Star(30),
+		"cycle":     graph.Cycle(41),
+		"path":      graph.Path(40),
+		"grid":      graph.Grid(17, 23),
+		"torus":     graph.Torus(12, 12),
+		"hypercube": graph.Hypercube(6),
+		"K7,9":      graph.CompleteBipartite(7, 9),
+		"prism":     graph.Prism(25),
+		"wheel":     graph.Wheel(30),
+		"disjoint":  graph.Disjoint(graph.Cycle(6), graph.Star(5), graph.Complete(4), graph.Path(3)),
+	}
+	for i, n := range []int{30, 200, 1000} {
+		graphs[fmt.Sprintf("gnp%d", n)] = graph.ErdosRenyi(n, 6/float64(n), rng)
+		graphs[fmt.Sprintf("dense%d", n)] = graph.ErdosRenyi(n/4+2, 0.5, rng)
+		graphs[fmt.Sprintf("planar%d", n)] = graph.RandomPlanar(n, 0.6, rng)
+		graphs[fmt.Sprintf("maxplanar%d", n)] = graph.RandomMaximalPlanar(n, rng)
+		graphs[fmt.Sprintf("tree%d", n)] = graph.RandomTree(n, rng)
+		graphs[fmt.Sprintf("pendants%d", i)] = graph.AttachPendantStars(graph.Cycle(n/10+3), []int{0, 1, 2}, 4)
+	}
+	for name, g := range graphs {
+		got, want := GreedyIndependentSet(g), greedyIndependentSetScan(g)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: bucketed greedy picked %v, scan %v", name, got, want)
+		}
 	}
 }
