@@ -25,7 +25,8 @@ type Params struct {
 	Eps float64 `json:"eps,omitempty"`
 	// Seed drives every PRNG of the run (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Levels is the KPR chopping depth (clustering family only; default 3).
+	// Levels is the KPR chopping depth (clustering family only; default 3;
+	// at most max(n, 3)).
 	Levels int `json:"levels,omitempty"`
 	// Budget overrides the walk forward budget (walkroute family only;
 	// 0 = the snapshot's default; at most 8n+256).
@@ -60,6 +61,9 @@ func (p Params) validate(family string, n int) error {
 	}
 	if hi := maxWalkBudget(n); p.Budget > hi {
 		return fmt.Errorf("budget %d exceeds 8n+256 = %d", p.Budget, hi)
+	}
+	if hi := maxLevels(n); p.Levels > hi {
+		return fmt.Errorf("levels %d exceeds max(n,3) = %d", p.Levels, hi)
 	}
 	for _, v := range p.selection() {
 		if v < 0 || v >= n {

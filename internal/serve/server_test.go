@@ -212,6 +212,8 @@ func TestQueryErrors(t *testing.T) {
 		{"matching", `{"vertices": [99]}`, http.StatusBadRequest},
 		{"walkroute", `{"budget": -1}`, http.StatusBadRequest},
 		{"walkroute", `{"budget": 449}`, http.StatusBadRequest}, // 8n+256 = 448 on the 24-ring
+		{"clustering", `{"levels": 25}`, http.StatusBadRequest}, // max(n,3) = 24 on the 24-ring
+		{"clustering", `{"levels": 1000000}`, http.StatusBadRequest},
 		{"matching", `not json`, http.StatusBadRequest},
 	}
 	for _, c := range cases {

@@ -230,3 +230,10 @@ func defaultWalkBudget(phi float64, n int) int {
 // exchange takes about two rounds per budget step whether or not any
 // token still walks, so the cap bounds how long one query holds a run slot.
 func maxWalkBudget(n int) int { return 8*n + 256 }
+
+// maxLevels caps a clustering depth on an n-vertex graph. A run's cost is
+// linear in its levels, so the cap bounds how long one query holds a run
+// slot. KPR chopping needs O(|H|) levels on an H-minor-free graph, and no
+// n-vertex graph has a K_(n+1) minor, so n levels are as many as it ever
+// calls for; the floor keeps the default depth 3 valid on tiny graphs.
+func maxLevels(n int) int { return max(n, 3) }
