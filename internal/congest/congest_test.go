@@ -2,6 +2,7 @@ package congest
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"expandergap/internal/graph"
@@ -217,6 +218,49 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterminism at vertex %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// Vertex v draws from the splitmix64 stream that starts at a hash of
+// (Seed, v): the first draws of two streams are pinned (the values a
+// reference splitmix64 gives from those states), and a second Run on one
+// Simulator reseeds every vertex, so it repeats the first draw for draw even
+// though the first run left its streams part consumed.
+func TestVertexStreams(t *testing.T) {
+	g := graph.Path(6)
+	draws := func(sim *Simulator) [][3]uint64 {
+		res, err := sim.Run(func(v *Vertex) Handler {
+			return RunFuncs{InitFn: func(v *Vertex) {
+				r := v.Rand()
+				v.SetOutput([3]uint64{r.Uint64(), r.Uint64(), uint64(r.Int63())})
+				v.Halt()
+			}}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([][3]uint64, g.N())
+		for id, o := range res.Outputs {
+			out[id] = o.([3]uint64)
+		}
+		return out
+	}
+	for _, pin := range []struct {
+		seed int64
+		id   int
+		want [3]uint64
+	}{
+		{1, 0, [3]uint64{0xfc042709560421da, 0x493384625f4330a7, 0x4897323ab2576c33}},
+		{7, 5, [3]uint64{0x3e333274c561f374, 0x7de164ab84b1bce4, 0x4bfbc069e7e9774b}},
+	} {
+		sim := NewSimulator(g, Config{Seed: pin.seed})
+		first := draws(sim)
+		if got := first[pin.id]; got != pin.want {
+			t.Errorf("seed %d, vertex %d: first draws %#x, want %#x", pin.seed, pin.id, got, pin.want)
+		}
+		if second := draws(sim); !slices.Equal(second, first) {
+			t.Errorf("seed %d: a second Run drew %#x, the first %#x", pin.seed, second, first)
 		}
 	}
 }

@@ -44,7 +44,8 @@ func floodHandler(v *congest.Vertex) congest.Handler {
 // TestGoldenDeterminism pins the exact outputs and metrics of two fixed-seed
 // workloads (grid flood and Luby MIS). The values were captured from the
 // pre-CSR simulator, so this test proves the zero-allocation layout and the
-// fused round barrier are behavior-preserving.
+// fused round barrier are behavior-preserving. The Luby values were
+// re-pinned once when vertex PRNGs became splitmix64 streams.
 func TestGoldenDeterminism(t *testing.T) {
 	const (
 		goldenFloodRounds  = 31
@@ -52,11 +53,11 @@ func TestGoldenDeterminism(t *testing.T) {
 		goldenFloodWords   = 960
 		goldenFloodDistSum = 3840
 
-		goldenLubyRounds = 13
-		goldenLubyMsgs   = 1981
-		goldenLubyWords  = 5257
-		goldenLubySize   = 92
-		goldenLubyHash   = 4508672213933379464
+		goldenLubyRounds = 10
+		goldenLubyMsgs   = 1722
+		goldenLubyWords  = 4404
+		goldenLubySize   = 102
+		goldenLubyHash   = -316881767681296126
 	)
 	g := graph.Grid(16, 16)
 	sim := congest.NewSimulator(g, congest.Config{Seed: 1})
@@ -101,7 +102,8 @@ func TestGoldenDeterminism(t *testing.T) {
 // observer-free golden values, and (b) the entire serialized phase tree —
 // names, nesting, per-phase rounds/messages/words/bits and histograms —
 // hashes to the value the simulator produced before Send fed the observer's
-// round histogram directly (FNV-64a of MarshalIndentJSON).
+// round histogram directly (FNV-64a of MarshalIndentJSON), re-pinned with
+// the Luby values.
 func TestGoldenPhaseTreeDeterminism(t *testing.T) {
 	g := graph.Grid(16, 16)
 	obs := congest.NewObserver()
@@ -123,7 +125,7 @@ func TestGoldenPhaseTreeDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("luby: %v", err)
 	}
-	if lm.Rounds != 13 || lm.Messages != 1981 || lm.Words != 5257 || len(set) != 92 {
+	if lm.Rounds != 10 || lm.Messages != 1722 || lm.Words != 4404 || len(set) != 102 {
 		t.Errorf("observed luby metrics %+v |set|=%d differ from golden", lm, len(set))
 	}
 
@@ -131,8 +133,8 @@ func TestGoldenPhaseTreeDeterminism(t *testing.T) {
 	if len(rep.Phases) != 2 || rep.Phases[0].Name != "flood" || rep.Phases[1].Name != "luby" {
 		t.Fatalf("phase tree children = %+v, want [flood luby]", rep.Phases)
 	}
-	if rep.Phases[0].Rounds != 31 || rep.Phases[1].Rounds != 13 {
-		t.Errorf("phase rounds = %d/%d, want 31/13", rep.Phases[0].Rounds, rep.Phases[1].Rounds)
+	if rep.Phases[0].Rounds != 31 || rep.Phases[1].Rounds != 10 {
+		t.Errorf("phase rounds = %d/%d, want 31/10", rep.Phases[0].Rounds, rep.Phases[1].Rounds)
 	}
 	data, err := rep.MarshalIndentJSON()
 	if err != nil {
@@ -140,8 +142,8 @@ func TestGoldenPhaseTreeDeterminism(t *testing.T) {
 	}
 	h := fnv.New64a()
 	h.Write(data)
-	if got := h.Sum64(); got != 0x62cae8c5b4fe51ad {
-		t.Errorf("phase tree hash %#x, want 0x62cae8c5b4fe51ad:\n%s", got, data)
+	if got := h.Sum64(); got != 0x32bd477cf3c003c5 {
+		t.Errorf("phase tree hash %#x, want 0x32bd477cf3c003c5:\n%s", got, data)
 	}
 }
 

@@ -52,9 +52,9 @@ func TestColdQueriesPinned(t *testing.T) {
 		messages int64
 		words    int64
 	}{
-		{"matching", 7, "cb43d767b47800928548b526e28822147534589f41a1237868712b780fc83bcd", 295594, 6862145, 17428489},
-		{"mis", 8, "22886d163fbd89a5b165e7dfcdbc7b8e9c8b8cb637c800e4f33a546059fa57be", 295595, 6919620, 17709932},
-		{"clustering", 9, "788c46f1360976ed254dab05126a55c310786f70f08c490bf340711d20793974", 295594, 6915117, 17693349},
+		{"matching", 7, "81aa34dd4ab5c2dd337d087a322debf979d227cafbf3dfd5a4fe59d38cbb95e8", 295594, 6840191, 17318719},
+		{"mis", 8, "6c21ab48237d77d6dda25499b6d63e7e1a01b145be0b831bc1c572dfd8a50ac1", 295595, 6863226, 17427962},
+		{"clustering", 9, "e5c40b068ff178d0ef6ca31bad680c6f45927d3f636d5792caf3903adbdd532d", 295594, 6921273, 17724129},
 	} {
 		res, err := runQuery(snap, pin.family, Params{Seed: pin.seed}.withDefaults(pin.family))
 		if err != nil {
