@@ -15,12 +15,13 @@
 // Violations panic: an algorithm that breaks the model is a programming
 // error, not a runtime condition.
 //
-// Execution is deterministic given Config.Seed: every vertex receives its own
-// seeded PRNG stream, each inbox lists arrivals in ascending sender-ID order,
-// and fault-injection coins are pure hashes of (seed, round, sender,
-// receiver). Because handler randomness is per-vertex and inbox order is
-// canonical, the execution order of vertices within a round cannot be
-// observed by a (well-formed) handler.
+// Execution is deterministic given Config.Seed: every vertex draws from its
+// own 8-byte splitmix64 stream, which Start seeds from a hash of (Seed,
+// vertex ID), so repeated runs repeat every draw; each inbox lists arrivals
+// in ascending sender-ID order; and fault-injection coins are pure hashes of
+// (seed, round, sender, receiver). Because handler randomness is per-vertex
+// and inbox order is canonical, the execution order of vertices within a
+// round cannot be observed by a (well-formed) handler.
 //
 // One goroutine executes every round: each stepped vertex's Round call in
 // ascending ID order. Send delivers at once: it stamps the port with the
@@ -28,7 +29,8 @@
 // fault coin, and writes a surviving message straight into the receiver's
 // inbox for the next round. Halt counts toward termination at once, and each
 // vertex joins the next round's schedule as its call returns, so the round
-// barrier only adds the due timers and reads the schedule out. Stepping in
+// barrier only adds the due wakes, kept on a timing wheel keyed by round,
+// and reads the schedule out. Stepping in
 // ascending ID order keeps every inbox ascending by sender, which is the
 // canonical inbox order.
 //

@@ -26,11 +26,17 @@
 // The reverse phase thus reads the log backward, in round order. The undone
 // departure's arrival says where the response goes next (port -1: it is
 // home). The reverse schedule is collision-free for the same reason, and
-// adds no words to any message.
+// adds no words to any message. A relay's pending reverse sends wait in a
+// min-heap on their due round. The sends pending at reverse round 2T+2-F
+// answer the tokens the relay held at forward round F, so before the first
+// reverse round the exchange carves every relay's heap out of one slab,
+// sized by the most tokens it held at once. A finished exchange keeps its
+// departure log for the next one, in a store the GC does not empty.
 //
 // A deterministic tree strategy (tokens climb a BFS tree toward the leader,
 // FIFO per edge) stands in for the paper's Lemma 2.5 deterministic routing;
-// it has the same interface and failure semantics.
+// it has the same interface and failure semantics. A relay resolves its
+// parent port once and sends the token at its queue's head each round.
 //
 // Undelivered tokens (forward budget exhausted) simply produce no response;
 // origins detect the failure locally, which is exactly the failure-detection
