@@ -214,6 +214,7 @@ func TestQueryErrors(t *testing.T) {
 		{"walkroute", `{"budget": 449}`, http.StatusBadRequest}, // 8n+256 = 448 on the 24-ring
 		{"clustering", `{"levels": 25}`, http.StatusBadRequest}, // max(n,3) = 24 on the 24-ring
 		{"clustering", `{"levels": 1000000}`, http.StatusBadRequest},
+		{"clustering", `{"eps": 1e-300}`, http.StatusOK}, // levels/ε overflows an int
 		{"matching", `not json`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
