@@ -539,11 +539,13 @@ func (s *Simulator) checkMessage(sender int, msg Message) {
 
 // faultCoin returns a uniform [0,1) coin for the message delivered to
 // receiver `to` from sender `from` in the given round, as a pure
-// splitmix64-style hash of (seed, round, from, to). Each message's drop
+// splitmix64-style hash of (seed, round, from, to): the seed mixed by mix64,
+// as streamSeed mixes it, then each coordinate folded in. Each message's drop
 // decision therefore depends only on its own coordinates — never on how many
-// other messages exist or in which order delivery scans them.
+// other messages exist or in which order delivery scans them — and nearby
+// seeds drop unrelated messages, not the same ones shifted in round.
 func faultCoin(seed int64, round, from, to int) float64 {
-	h := uint64(seed) ^ golden
+	h := mix64(uint64(seed) ^ golden)
 	for _, w := range [3]uint64{uint64(round), uint64(from), uint64(to)} {
 		h = mix64(h + w + golden)
 	}

@@ -176,3 +176,22 @@ func TestAllDroppedRoundStillRuns(t *testing.T) {
 		t.Errorf("%d rounds, %d messages; want 2 rounds, %d messages", res.Metrics.Rounds, res.Metrics.Messages, 2*g.M())
 	}
 }
+
+// TestFaultCoinsOfNearbySeedsAreUnrelated checks that the fault coins of
+// seeds 1 and 2 are not one sequence shifted in round: over rounds 1–64 on a
+// few (from, to) pairs, no coin of one seed equals any coin of the other.
+// Adding the round to the unmixed seed made faultCoin(1, r+3, from, to)
+// equal faultCoin(2, r, from, to).
+func TestFaultCoinsOfNearbySeedsAreUnrelated(t *testing.T) {
+	for _, p := range [][2]int{{0, 1}, {1, 0}, {3, 7}, {12, 5}} {
+		seen := make(map[float64]int)
+		for r := 1; r <= 64; r++ {
+			seen[faultCoin(1, r, p[0], p[1])] = r
+		}
+		for r := 1; r <= 64; r++ {
+			if r1, ok := seen[faultCoin(2, r, p[0], p[1])]; ok {
+				t.Errorf("(from, to) = %v: seed 2's coin at round %d is seed 1's at round %d", p, r, r1)
+			}
+		}
+	}
+}

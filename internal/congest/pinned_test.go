@@ -120,7 +120,8 @@ func simCase(g *graph.Graph, cfg congest.Config, newHandler func(v *congest.Vert
 // receivers' pending lists, from a simulator whose sequential and sharded
 // executors agreed on every case; the four cases that draw vertex
 // randomness were re-pinned once when vertex PRNGs became splitmix64
-// streams.
+// streams, and the two faulted cases' hashes once when faultCoin began
+// mixing the seed before the coordinates.
 //
 // Each case then runs again with a tracing Observer, and the FNV-64a hash of
 // its JSONL trace is pinned too. Outputs and Metrics cannot tell whether a
@@ -142,9 +143,9 @@ func TestPinnedWorkloads(t *testing.T) {
 		{"hubAggregate-star257", simCase(starWithTail(257), congest.Config{Seed: 9}, hubAggregate),
 			congest.Metrics{Rounds: 6, Messages: 2816, Words: 2816, MaxWordsPerMsg: 1}, 0x4201447efbef7e7f, 0xc37d1c34db826970},
 		{"sleepyBroadcast-star129-faults", simCase(starWithTail(129), congest.Config{Seed: 31, FaultRate: 0.15, MaxRounds: 128}, sleepyBroadcast),
-			congest.Metrics{Rounds: 10, Messages: 4972, Words: 4972, MaxWordsPerMsg: 1}, 0x5848dd4719dd301e, 0x169dae07ce6e1048},
+			congest.Metrics{Rounds: 10, Messages: 4972, Words: 4972, MaxWordsPerMsg: 1}, 0x100fcd61e1ade0e2, 0x169dae07ce6e1048},
 		{"faultyBroadcast-grid16x16", simCase(graph.Grid(16, 16), congest.Config{Seed: 5, FaultRate: 0.2, MaxRounds: 64}, faultyBroadcast),
-			congest.Metrics{Rounds: 8, Messages: 7680, Words: 7680, MaxWordsPerMsg: 1}, 0x4126ff085cbfbd8, 0xd63c4f2e761f39f8},
+			congest.Metrics{Rounds: 8, Messages: 7680, Words: 7680, MaxWordsPerMsg: 1}, 0x172ce11fa810a934, 0xd63c4f2e761f39f8},
 		{"luby-grid32x32", func(obs *congest.Observer) (any, congest.Metrics, error) {
 			return maxis.LubyMIS(grid32, congest.Config{Seed: 7, Obs: obs})
 		}, congest.Metrics{Rounds: 10, Messages: 6492, Words: 16572, MaxWordsPerMsg: 3}, 0x1abdc8fc72a3004b, 0x638c357a3a42730},
