@@ -21,9 +21,9 @@ import (
 // what any caller drawing after it gets.
 
 // refBestSparseCut is the reference cut search: the three spectral trials
-// run one after another, each drawing its start vector just before its own
-// power iteration, then the BFS sweep and the two nibbles.
-func refBestSparseCut(sub graph.G, iters int, rng *rand.Rand) (map[int]bool, float64) {
+// run one after another, each drawing its start vector just before it scores
+// sub, then the BFS sweep and the two nibbles.
+func refBestSparseCut(sub graph.G, trial func(graph.G, *rand.Rand) []float64, rng *rand.Rand) (map[int]bool, float64) {
 	n := sub.N()
 	if n < 2 {
 		return nil, math.Inf(1)
@@ -33,9 +33,8 @@ func refBestSparseCut(sub graph.G, iters int, rng *rand.Rand) (map[int]bool, flo
 	}
 	bestPhi := math.Inf(1)
 	var best map[int]bool
-	for trial := 0; trial < 3; trial++ {
-		scores := conductance.FiedlerScores(sub, iters, rng)
-		s, phi := conductance.SweepCut(sub, scores)
+	for range 3 {
+		s, phi := conductance.SweepCut(sub, trial(sub, rng))
 		if phi < bestPhi {
 			bestPhi, best = phi, s
 		}
@@ -61,6 +60,24 @@ func refBestSparseCut(sub graph.G, iters int, rng *rand.Rand) (map[int]bool, flo
 		}
 	}
 	return best, bestPhi
+}
+
+// filterTrial is the cut search's spectral trial at phi, run on its own: a
+// start vector drawn from rng, then the Chebyshev filter.
+func filterTrial(phi float64) func(graph.G, *rand.Rand) []float64 {
+	return func(g graph.G, rng *rand.Rand) []float64 {
+		n := g.N()
+		f := conductance.NewFiedler(g)
+		v := make([]float64, 3*n)
+		f.Start(v[:n], rng)
+		return f.Filter(v[:n], v[n:2*n], v[2*n:], phi)
+	}
+}
+
+// powerTrial is the spectral trial the cut search ran before the filter:
+// 300 power iterations from a start vector drawn from rng.
+func powerTrial(g graph.G, rng *rand.Rand) []float64 {
+	return conductance.FiedlerScores(g, 300, rng)
 }
 
 // refExactSparseCut is the reference exhaustive cut search: every mask over
@@ -127,7 +144,7 @@ func TestExactSparseCutPinned(t *testing.T) {
 	check := func(name string, g graph.G) {
 		t.Helper()
 		rng, ref := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
-		gs, gphi := bestSparseCut(g, rng)
+		gs, gphi := bestSparseCut(g, 0.3, rng)
 		var ws map[int]bool
 		wphi := math.Inf(1)
 		if g.N() >= 2 {
@@ -236,16 +253,20 @@ func cutSearchPieces() []struct {
 	}
 }
 
+// TestBestSparseCutPinned pins the concurrent cut search to the sequential
+// reference of the same trials, at the φ Decompose aims at on each piece at
+// ε 0.3.
 func TestBestSparseCutPinned(t *testing.T) {
 	for _, tc := range cutSearchPieces() {
+		phi := PhiTarget(0.3, tc.g.M())
 		for _, seed := range []int64{1, 2022} {
 			// The det=false segment keeps each subtest's name stable across
 			// the search's history, so past results stay comparable.
 			name := fmt.Sprintf("%s/det=false/seed=%d", tc.name, seed)
 			t.Run(name, func(t *testing.T) {
 				got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-				gs, gphi := bestSparseCut(tc.g, got)
-				ws, wphi := refBestSparseCut(tc.g, spectralIters, want)
+				gs, gphi := bestSparseCut(tc.g, phi, got)
+				ws, wphi := refBestSparseCut(tc.g, filterTrial(phi), want)
 				if math.Float64bits(gphi) != math.Float64bits(wphi) {
 					t.Errorf("φ = %v, reference %v", gphi, wphi)
 				}

@@ -189,7 +189,7 @@ func clusterCertified(g *graph.Graph, verts []int, phi float64, opts Options) bo
 		return conductance.ExactConductance(sub) >= phi-1e-12
 	}
 	rng := rand.New(rand.NewSource(pieceSeed(opts.Seed, verts)))
-	cut, cutPhi := bestSparseCut(sub, rng)
+	cut, cutPhi := bestSparseCut(sub, phi, rng)
 	return cut == nil || cutPhi >= phi
 }
 

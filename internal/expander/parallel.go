@@ -110,7 +110,7 @@ func (p *decomposer) solve(verts []int) [][]int {
 		return [][]int{verts}
 	}
 	rng := rand.New(rand.NewSource(pieceSeed(p.opts.Seed, verts)))
-	cut, cutPhi := bestSparseCut(sub, rng)
+	cut, cutPhi := bestSparseCut(sub, p.phi, rng)
 	if cutPhi >= p.phi || cut == nil {
 		return [][]int{verts}
 	}
